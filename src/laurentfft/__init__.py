@@ -4,11 +4,9 @@ model for golden-model testbenches."""
 
 from .engine import (
     FixedConfig,
-    OpCount,
     QuantizationReport,
     TransformResult,
     TransformSelect,
-    count_ops,
     execute,
     quantization_report,
 )
@@ -40,14 +38,15 @@ from .plan import (
     FactoredTernary,
     GaussianIntegerMatrix,
     LaurentPlan,
+    OpCount,
     PlanConstructionError,
-    ScalarTerm,
-    UnitTerm,
+    Stream,
     UnsupportedLengthError,
     build_M,
     build_plan,
     chi,
     congruence_class,
+    count_ops,
     echelon_factor,
     exponent_matrix,
     format_plan,
@@ -58,17 +57,17 @@ from .reference import dft_direct, dft_matrix, dht_direct, dht_from_dft
 __version__ = "0.1.0"
 
 __all__ = [
-    "FixedConfig", "OpCount", "QuantizationReport", "TransformResult",
-    "TransformSelect", "count_ops", "execute", "quantization_report",
+    "FixedConfig", "QuantizationReport", "TransformResult",
+    "TransformSelect", "execute", "quantization_report",
     "Fixed", "OverflowFlag", "QFormat",
     "ROUND_HALF_AWAY", "ROUND_HALF_EVEN", "ROUND_TRUNCATE",
     "fx_add", "fx_mul", "fx_sub", "quantize", "widen",
     "MemoryImage", "StimulusFormatError", "load_stimulus", "pack_output",
     "read_output_words", "run_device", "unpack_output", "write_output_words",
     "write_stimulus",
-    "FactoredTernary", "GaussianIntegerMatrix", "LaurentPlan",
-    "PlanConstructionError", "ScalarTerm", "UnitTerm", "UnsupportedLengthError",
-    "build_M", "build_plan", "chi", "congruence_class", "echelon_factor",
+    "FactoredTernary", "GaussianIntegerMatrix", "LaurentPlan", "OpCount",
+    "PlanConstructionError", "Stream", "UnsupportedLengthError",
+    "build_M", "build_plan", "chi", "congruence_class", "count_ops", "echelon_factor",
     "exponent_matrix", "format_plan", "reconstruct",
     "dft_direct", "dft_matrix", "dht_direct", "dht_from_dft",
 ]

@@ -1,12 +1,14 @@
-"""Plan execution in exact or bit-exact fixed-point arithmetic, plus
-structural operation counting.
+"""Plan execution in exact or bit-exact fixed-point arithmetic.
 
-A plan term is applied as combiner @ (scalar * (reduced_rows @ v)): the
-reduced rows cost additions, the scalar costs rank-many multiplications,
-the combiner and the cross-term accumulation cost additions again.  A
-single select bit chooses Fourier output (Re, Im) or Hartley output
-(Re - Im).  In fixed mode every operation is saturating Q-format integer
-arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+Each stream of the plan is applied as combiner @ (scalar * (reduced_rows @ v)):
+the reduced rows cost additions, the scalar costs rank-many multiplications
+(none for the unweighted streams), the combiner costs additions again, and
+the result is added to or subtracted from its output accumulator in stream
+order.  A single select bit chooses Fourier output (Re, Im) or Hartley
+output (Re - Im).  In fixed mode every operation is saturating Q-format
+integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+The structural operation count, count_ops, is defined with the plan and
+re-exported here.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .fixed import (
     quantize,
     widen,
 )
-from .plan import FactoredTernary, LaurentPlan
+from .plan import LaurentPlan, OpCount, count_ops  # noqa: F401
 
 
 class TransformSelect(enum.Enum):
@@ -57,29 +59,6 @@ class FixedConfig:
 
 
 @dataclass(frozen=True)
-class OpCount:
-    """Structural arithmetic cost of a plan.  Pure function of the plan.
-
-    multiplications: scalar (twiddle) multiplications; products with
-        {-1, 0, +1} are free sign flips or skips.
-    additions: two-operand adds/subtracts inside the factored matrix
-        applications (reduced rows and combiner rows, unit term included),
-        counting an accumulation of t nonzero operands as t - 1 adds.
-    accumulation_adds: adds that merge the unit/cosine/sine/middle output
-        streams into the two output accumulators, reported separately
-        because the split between the arithmetic core and the output
-        collection stage is a convention.
-    dht_extra_adds: the N output subtractions Re - Im that only the Hartley
-        selection pays, also reported separately.
-    """
-
-    multiplications: int
-    additions: int
-    accumulation_adds: int
-    dht_extra_adds: int
-
-
-@dataclass(frozen=True)
 class TransformResult:
     """Transform output.  values holds complex bins for DFT, real bins for
     DHT.  In fixed mode the Q-format integer raws are kept alongside
@@ -97,21 +76,17 @@ def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
     v = np.asarray(samples, dtype=np.float64)
     if v.ndim != 1 or v.size != plan.order:
         raise ValueError(f"signal length {v.shape} does not match plan order {plan.order}")
+    bad = np.flatnonzero(~np.isfinite(v))
+    if bad.size:
+        raise ValueError(f"sample {bad[0]} = {v[bad[0]]} is not a finite number")
     return v
 
 
-def _apply_factor_exact(f: FactoredTernary, v: np.ndarray) -> np.ndarray:
-    if f.rank == 0:
-        return np.zeros(f.combiner.shape[0])
-    return f.combiner @ (f.reduced_rows @ v)
-
-
 def _execute_exact(plan: LaurentPlan, v: np.ndarray, select: TransformSelect) -> TransformResult:
-    re = _apply_factor_exact(plan.unit.real_factor, v)
-    im = _apply_factor_exact(plan.unit.imag_factor, v)
-    for t in plan.terms:
-        re = re + t.value * _apply_factor_exact(t.real_factor, v)
-        im = im + t.imag_sign * t.value * _apply_factor_exact(t.imag_factor, v)
+    acc = {"re": np.zeros(plan.order), "im": np.zeros(plan.order)}
+    for s in plan.streams:
+        acc[s.dest] = acc[s.dest] + s.weight * (s.factor.combiner @ (s.factor.reduced_rows @ v))
+    re, im = acc["re"], acc["im"]
     if select is TransformSelect.DHT:
         return TransformResult(select, re - im)
     return TransformResult(select, re + 1j * im)
@@ -131,32 +106,29 @@ def _rows_fixed(mat: np.ndarray, vals: list[Fixed], zero: Fixed,
     return out
 
 
-def _apply_factor_fixed(f: FactoredTernary, vals: list[Fixed], scalar: Fixed | None,
-                        zero: Fixed, cfg: FixedConfig, flags: OverflowFlag) -> list[Fixed]:
-    u = _rows_fixed(f.reduced_rows, vals, zero, flags)
-    if scalar is not None:
-        u = [fx_mul(x, scalar, cfg.rounding, flags) for x in u]
-    return _rows_fixed(f.combiner, u, zero, flags)
-
-
 def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
     flags = OverflowFlag()
     zero = Fixed(0, cfg.acc_fmt)
     x = [widen(quantize(s, cfg.fmt, cfg.rounding, flags), cfg.acc_total_bits) for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
-    consts = [quantize(t.value, cfg.fmt, cfg.rounding, flags) for t in plan.terms]
+    rom = {c: quantize(c, cfg.fmt, cfg.rounding, flags)
+           for c in dict.fromkeys(s.value for s in plan.streams) if c is not None}
 
-    re = _apply_factor_fixed(plan.unit.real_factor, x, None, zero, cfg, flags)
-    im = _apply_factor_fixed(plan.unit.imag_factor, x, None, zero, cfg, flags)
-    for t, c in zip(plan.terms, consts):
-        yr = _apply_factor_fixed(t.real_factor, x, c, zero, cfg, flags)
-        yi = _apply_factor_fixed(t.imag_factor, x, c, zero, cfg, flags)
-        re = [fx_add(a, b, flags) for a, b in zip(re, yr)]
-        if t.imag_sign >= 0:
-            im = [fx_add(a, b, flags) for a, b in zip(im, yi)]
-        else:
-            im = [fx_sub(a, b, flags) for a, b in zip(im, yi)]
+    # The first stream into each accumulator (an unweighted one, sign +1)
+    # becomes its contents; every later stream is added or subtracted.
+    acc: dict[str, list[Fixed]] = {}
+    for s in plan.streams:
+        u = _rows_fixed(s.factor.reduced_rows, x, zero, flags)
+        if s.value is not None:
+            u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
+        y = _rows_fixed(s.factor.combiner, u, zero, flags)
+        if s.dest not in acc:
+            acc[s.dest] = y
+            continue
+        merge = fx_add if s.sign > 0 else fx_sub
+        acc[s.dest] = [merge(a, b, flags) for a, b in zip(acc[s.dest], y)]
+    re, im = acc["re"], acc["im"]
 
     if select is TransformSelect.DHT:
         h = [fx_sub(a, b, flags) for a, b in zip(re, im)]
@@ -184,40 +156,6 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)
     raise ValueError(f"arith must be 'exact' or a FixedConfig, got {arith!r}")
-
-
-def _row_adds(mat: np.ndarray) -> int:
-    if mat.size == 0:
-        return 0
-    nnz = np.count_nonzero(mat, axis=1)
-    return int(np.maximum(nnz - 1, 0).sum())
-
-
-def _factor_adds(f: FactoredTernary) -> int:
-    return _row_adds(f.reduced_rows) + _row_adds(f.combiner)
-
-
-def count_ops(plan: LaurentPlan) -> OpCount:
-    """Structural operation count; see OpCount for the exact convention."""
-    mults = sum(t.real_factor.rank + t.imag_factor.rank for t in plan.terms)
-
-    factors = [plan.unit.real_factor, plan.unit.imag_factor]
-    for t in plan.terms:
-        factors += [t.real_factor, t.imag_factor]
-    adds = sum(_factor_adds(f) for f in factors)
-
-    merge = 0
-    for side in ("real", "imag"):
-        unit_f = plan.unit.real_factor if side == "real" else plan.unit.imag_factor
-        streams = [unit_f] + [t.real_factor if side == "real" else t.imag_factor
-                              for t in plan.terms]
-        present = np.zeros(plan.order, dtype=np.int64)
-        for f in streams:
-            if f.rank:
-                present += (np.count_nonzero(f.combiner, axis=1) > 0)
-        merge += int(np.maximum(present - 1, 0).sum())
-
-    return OpCount(int(mults), int(adds), merge, plan.order)
 
 
 @dataclass(frozen=True)

@@ -110,9 +110,13 @@ def quantize(x, fmt: QFormat, rounding: str = ROUND_HALF_AWAY,
 
     Out-of-range values saturate to the nearest bound and mark the sticky
     flag.  The exact binary expansion of the input is used, so rounding
-    decisions never suffer double rounding.
+    decisions never suffer double rounding.  Infinities and NaN have no
+    value on the grid and raise ValueError.
     """
-    exact = Fraction(x) * fmt.scale
+    try:
+        exact = Fraction(x) * fmt.scale
+    except (OverflowError, ValueError):
+        raise ValueError(f"cannot quantize {x!r}: not a finite number") from None
     raw = _div_round(exact.numerator, exact.denominator, rounding)
     return Fixed(_saturate(raw, fmt, flags), fmt)
 

@@ -21,11 +21,11 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import FixedConfig, TransformResult, TransformSelect, execute
-from .fixed import OverflowFlag
+from .fixed import OverflowFlag, QFormat, _saturate
 from .plan import LaurentPlan
 
 _WORD16 = 0xFFFF
-_INT16_MIN, _INT16_MAX = -(1 << 15), (1 << 15) - 1
+_HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
 
 
 class StimulusFormatError(ValueError):
@@ -42,16 +42,8 @@ class MemoryImage:
     overflow: bool = False
 
 
-def _to_int16(raw: int, flags: OverflowFlag | None) -> int:
-    if raw > _INT16_MAX:
-        if flags is not None:
-            flags.mark()
-        raw = _INT16_MAX
-    elif raw < _INT16_MIN:
-        if flags is not None:
-            flags.mark()
-        raw = _INT16_MIN
-    return raw & _WORD16
+def _half_word(raw: int, flags: OverflowFlag | None) -> int:
+    return _saturate(raw, _HALF_WORD, flags) & _WORD16
 
 
 def _sign_extend16(half: int) -> int:
@@ -83,10 +75,10 @@ def pack_output(spectrum, select: TransformSelect | None = None,
     words = []
     if select is TransformSelect.DFT:
         for re_raw, im_raw in pairs:
-            words.append((_to_int16(re_raw, flags) << 16) | _to_int16(im_raw, flags))
+            words.append((_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags))
     else:
         for raw in pairs:
-            words.append(_to_int16(raw, flags))
+            words.append(_half_word(raw, flags))
     return tuple(words)
 
 

@@ -16,6 +16,12 @@ those scalars.  Each scalar-weighted ternary matrix T is factored through
 its reduced row-echelon form, T = C @ R with both factors ternary, so the
 scalar multiplies just rank(T) intermediate values.
 
+A plan is one flat tuple of streams.  A stream is one factored ternary
+matrix with its scalar (None for the two M_0 matrices, which need no
+multiplication), the output accumulator it feeds (re or im) and a sign.
+Both executors, count_ops, reconstruct and format_plan are each one pass
+over that tuple.
+
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
 caller error.
@@ -129,9 +135,11 @@ class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
     rank is the inner dimension, i.e. how many intermediate values a scalar
-    weight must multiply.  optimal is False when the reduced-row-echelon
-    route produced a non-ternary factor and the distinct-signed-rows
-    fallback was used instead (rank may then exceed the rational rank).
+    weight must multiply.  At rank 0 the factors are (rows, 0) and (0, cols)
+    arrays, so every product with them is a correctly shaped zero.  optimal
+    is False when the reduced-row-echelon route produced a non-ternary
+    factor and the distinct-signed-rows fallback was used instead (rank may
+    then exceed the rational rank).
     """
 
     combiner: np.ndarray
@@ -144,10 +152,6 @@ class FactoredTernary:
         self.reduced_rows.setflags(write=False)
 
     def product(self) -> np.ndarray:
-        if self.rank == 0:
-            n = self.combiner.shape[0]
-            return np.zeros((n, self.reduced_rows.shape[1] if self.reduced_rows.size else n),
-                            dtype=np.int64)
         return self.combiner @ self.reduced_rows
 
 
@@ -230,96 +234,74 @@ def echelon_factor(mat) -> FactoredTernary:
 
 
 @dataclass(frozen=True, eq=False)
-class UnitTerm:
-    """The unweighted term: real and imaginary parts of M_0.
+class Stream:
+    """One scalar-weighted ternary matrix feeding one output accumulator.
 
-    Applied without multiplications; the factored forms drive the engine's
-    addition-only application and the structural operation count.
-    """
-
-    real_matrix: np.ndarray
-    imag_matrix: np.ndarray
-    real_factor: FactoredTernary
-    imag_factor: FactoredTernary
-
-
-@dataclass(frozen=True, eq=False)
-class ScalarTerm:
-    """One trigonometric weight and its two factored ternary matrices.
-
-    real_factor feeds the real output accumulator; imag_factor feeds the
-    imaginary accumulator with sign imag_sign (-1 for sine terms).
+    The accumulator dest ("re" or "im") receives
+    sign * value * (factor.product() @ v).
+    value is None for the two unweighted M_0 streams, which cost no
+    multiplications; sign is -1 only on the imaginary stream of a sine term.
     """
 
     label: str
-    value: float
-    m: int
-    real_factor: FactoredTernary
-    imag_factor: FactoredTernary
-    imag_sign: int
+    value: float | None
+    factor: FactoredTernary
+    dest: str
+    sign: int
+
+    @property
+    def weight(self) -> float:
+        """sign * value as one float; the unweighted streams weigh sign * 1."""
+        return self.sign * (1.0 if self.value is None else self.value)
 
 
 @dataclass(frozen=True, eq=False)
 class LaurentPlan:
+    """The transform as one flat tuple of streams.
+
+    The two unweighted streams come first (re, then im), followed by the re
+    and im streams of each scalar term in order of m, the sqrt(2)/2 term
+    last.  A fixed-point executor folds the streams into its saturating
+    accumulators in this order, so the order is part of the bit-exact result.
+    """
+
     order: int
-    unit: UnitTerm
-    terms: tuple[ScalarTerm, ...]
+    streams: tuple[Stream, ...]
 
     @property
     def optimal(self) -> bool:
         """True when every factorization achieved its rational rank."""
-        factors = [self.unit.real_factor, self.unit.imag_factor]
-        for t in self.terms:
-            factors += [t.real_factor, t.imag_factor]
-        return all(f.optimal for f in factors)
+        return all(s.factor.optimal for s in self.streams)
 
 
 def build_plan(n: int) -> LaurentPlan:
     """Assemble and validate the full decomposition for order N."""
     _require_mod4(n)
     m0 = build_M(0, n)
-    unit = UnitTerm(
-        real_matrix=_as_ternary(m0.re),
-        imag_matrix=_as_ternary(m0.im),
-        real_factor=echelon_factor(m0.re),
-        imag_factor=echelon_factor(m0.im),
-    )
-    terms = []
+    streams = [Stream("unit", None, echelon_factor(m0.re), "re", +1),
+               Stream("unit", None, echelon_factor(m0.im), "im", +1)]
     for m in range(1, (n // 4 - 1) // 2 + 1):
         pos = build_M(m, n)
         neg = build_M(-m, n)
         theta = 2 * math.pi * m / n
-        terms.append(ScalarTerm(
-            label=f"cos(2*pi*{m}/{n})",
-            value=math.cos(theta),
-            m=m,
-            real_factor=echelon_factor(pos.re + neg.re),
-            imag_factor=echelon_factor(pos.im + neg.im),
-            imag_sign=+1,
-        ))
-        terms.append(ScalarTerm(
-            label=f"sin(2*pi*{m}/{n})",
-            value=math.sin(theta),
-            m=m,
-            real_factor=echelon_factor(pos.im - neg.im),
-            imag_factor=echelon_factor(pos.re - neg.re),
-            imag_sign=-1,
-        ))
+        cos, sin = f"cos(2*pi*{m}/{n})", f"sin(2*pi*{m}/{n})"
+        streams += [
+            Stream(cos, math.cos(theta), echelon_factor(pos.re + neg.re), "re", +1),
+            Stream(cos, math.cos(theta), echelon_factor(pos.im + neg.im), "im", +1),
+            Stream(sin, math.sin(theta), echelon_factor(pos.im - neg.im), "re", +1),
+            Stream(sin, math.sin(theta), echelon_factor(pos.re - neg.re), "im", -1),
+        ]
     if n % 8 == 0:
         # w**(N/8) = (1 - j) * sqrt(2)/2, so the class at N/8 contributes
         # sqrt(2)/2 * (Re+Im) to the real part and sqrt(2)/2 * (Im-Re) to the
         # imaginary part.  The symmetric sum over +-m cannot reach this class
         # because m = N/8 is its own negative modulo N/4.
         mid = build_M(n // 8, n)
-        terms.append(ScalarTerm(
-            label="sqrt(2)/2",
-            value=math.sqrt(0.5),
-            m=n // 8,
-            real_factor=echelon_factor(mid.re + mid.im),
-            imag_factor=echelon_factor(mid.im - mid.re),
-            imag_sign=+1,
-        ))
-    plan = LaurentPlan(order=n, unit=unit, terms=tuple(terms))
+        streams += [
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor(mid.re + mid.im), "re", +1),
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor(mid.im - mid.re), "im", +1),
+        ]
+    plan = LaurentPlan(order=n, streams=tuple(streams))
     err = np.abs(reconstruct(plan) - dft_matrix(n)).max()
     if err > RECONSTRUCTION_TOL:
         raise PlanConstructionError(
@@ -330,12 +312,53 @@ def build_plan(n: int) -> LaurentPlan:
 
 def reconstruct(plan: LaurentPlan) -> np.ndarray:
     """Reassemble the complex transform matrix the plan represents."""
-    re = plan.unit.real_matrix.astype(np.float64)
-    im = plan.unit.imag_matrix.astype(np.float64)
-    for t in plan.terms:
-        re = re + t.value * t.real_factor.product()
-        im = im + t.imag_sign * t.value * t.imag_factor.product()
-    return re + 1j * im
+    acc = {"re": np.zeros((plan.order, plan.order)), "im": np.zeros((plan.order, plan.order))}
+    for s in plan.streams:
+        acc[s.dest] = acc[s.dest] + s.weight * s.factor.product()
+    return acc["re"] + 1j * acc["im"]
+
+
+@dataclass(frozen=True)
+class OpCount:
+    """Structural arithmetic cost of a plan.  Pure function of the plan.
+
+    multiplications: scalar (twiddle) multiplications, one per unit of rank
+        of each weighted stream; products with {-1, 0, +1} are free sign
+        flips or skips, so the unweighted streams cost none.
+    additions: two-operand adds/subtracts inside the factored matrix
+        applications (reduced rows and combiner rows of every stream),
+        counting an accumulation of t nonzero operands as t - 1 adds.
+    accumulation_adds: adds that merge the streams into the two output
+        accumulators: a row reached by t streams of one accumulator costs
+        t - 1.  Reported separately because the split between the
+        arithmetic core and the output collection stage is a convention.
+    dht_extra_adds: the N output subtractions Re - Im that only the Hartley
+        selection pays, also reported separately.
+    """
+
+    multiplications: int
+    additions: int
+    accumulation_adds: int
+    dht_extra_adds: int
+
+
+def _row_adds(mat: np.ndarray) -> int:
+    nnz = np.count_nonzero(mat, axis=1)
+    return int(np.maximum(nnz - 1, 0).sum())
+
+
+def count_ops(plan: LaurentPlan) -> OpCount:
+    """Structural operation count; see OpCount for the exact convention."""
+    mults = adds = 0
+    reached = {"re": np.zeros(plan.order, dtype=np.int64),
+               "im": np.zeros(plan.order, dtype=np.int64)}
+    for s in plan.streams:
+        if s.value is not None:
+            mults += s.factor.rank
+        adds += _row_adds(s.factor.reduced_rows) + _row_adds(s.factor.combiner)
+        reached[s.dest] += np.count_nonzero(s.factor.combiner, axis=1) > 0
+    merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reached.values())
+    return OpCount(mults, adds, merge, plan.order)
 
 
 _SYMBOLS = {-1: "-", 0: ".", 1: "+"}
@@ -346,23 +369,18 @@ def _rows_to_text(mat: np.ndarray, indent: str) -> list[str]:
 
 
 def format_plan(plan: LaurentPlan) -> str:
-    """Human-readable dump: scalars, ranks and factor matrices."""
-    mults = sum(t.real_factor.rank + t.imag_factor.rank for t in plan.terms)
-    lines = [f"plan for N={plan.order}: unit term + {len(plan.terms)} scalar terms, "
-             f"{mults} multiplications"]
-    lines.append("unit term (scalar 1)")
-    lines.append("  real matrix:")
-    lines += _rows_to_text(plan.unit.real_matrix, "    ")
-    lines.append("  imag matrix:")
-    lines += _rows_to_text(plan.unit.imag_matrix, "    ")
-    for t in plan.terms:
-        lines.append(f"term {t.label} = {t.value:.10g}"
-                     + ("  (imaginary path applied with minus sign)" if t.imag_sign < 0 else ""))
-        for name, f in (("real", t.real_factor), ("imag", t.imag_factor)):
-            flag = "" if f.optimal else "  [non-optimal factorization]"
-            lines.append(f"  {name} path rank {f.rank}{flag}")
-            lines.append("    reduced rows:")
-            lines += _rows_to_text(f.reduced_rows, "      ")
-            lines.append("    combiner columns:")
-            lines += _rows_to_text(f.combiner.T, "      ")
+    """Human-readable dump: one block per stream with its scalar, target
+    accumulator, rank and factor matrices."""
+    lines = [f"plan for N={plan.order}: {len(plan.streams)} streams, "
+             f"{count_ops(plan).multiplications} multiplications"]
+    for s in plan.streams:
+        weight = "1 (no multiplications)" if s.value is None else f"{s.value:.10g}"
+        sign = " (subtracted)" if s.sign < 0 else ""
+        flag = "" if s.factor.optimal else "  [non-optimal factorization]"
+        lines.append(f"term {s.label} = {weight}")
+        lines.append(f"  {s.dest} path{sign} rank {s.factor.rank}{flag}")
+        lines.append("    reduced rows:")
+        lines += _rows_to_text(s.factor.reduced_rows, "      ")
+        lines.append("    combiner columns:")
+        lines += _rows_to_text(s.factor.combiner.T, "      ")
     return "\n".join(lines) + "\n"

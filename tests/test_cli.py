@@ -88,6 +88,18 @@ class TestTransform:
         assert code == 1
         assert "sample 3" in err
 
+    @pytest.mark.parametrize("arith", ["exact", "fixed"])
+    @pytest.mark.parametrize("token", ["inf", "nan"])
+    def test_non_finite_sample_names_index(self, capsys, tmp_path, arith, token):
+        path = tmp_path / "bad.csv"
+        path.write_text("0\n1\n" + token + "\n" + "0\n" * 13)
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", arith,
+                                 "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: sample 2 ")
+
     def test_output_file_and_determinism(self, capsys, ramp_file, tmp_path):
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"
         for out_path in (out_a, out_b):

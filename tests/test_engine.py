@@ -8,14 +8,19 @@ import pytest
 
 from laurentfft import (
     FixedConfig,
+    LaurentPlan,
     QFormat,
+    Stream,
     TransformSelect,
     build_plan,
     count_ops,
     dft_direct,
     dht_direct,
+    echelon_factor,
     execute,
+    format_plan,
     quantization_report,
+    reconstruct,
 )
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
@@ -28,6 +33,11 @@ EXACT_DFT = [56, 0, -8 + (8 + 8 * SQRT2) * 1j, 0, -8 + 8j, 0,
 FIXED_DFT = [56, 0, -8 + 19.375j, 0, -8 + 8j, 0, -8 + 3.375j, 0,
              -8, 0, -8 - 3.375j, 0, -8 - 8j, 0, -8 - 19.375j, 0]
 FIXED_DHT = [56, 0, -27.375, 0, -16, 0, -11.375, 0, -8, 0, -4.625, 0, 0, 0, 11.375, 0]
+
+# Full-scale Q8.7 input words.  With a 16-bit accumulator the stream merges
+# saturate, and the raws below depend on the order the streams are merged in.
+FULL_SCALE_RAWS = [22123, -15623, -25605, -13207, -5649, 20593, -3194, -26745,
+                   -10822, 6560, 20525, 14978, 32299, -20454, 24918, -29154]
 
 
 @pytest.fixture(scope="module")
@@ -77,6 +87,14 @@ class TestExactMode:
         with pytest.raises(ValueError):
             execute(plan16, [1.0] * 8, TransformSelect.DFT, "exact")
 
+    def test_non_finite_sample_names_index(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for bad in (float("inf"), float("-inf"), float("nan")):
+                v = [0.0] * 16
+                v[5] = bad
+                with pytest.raises(ValueError, match="sample 5 "):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
     def test_string_select_accepted(self, plan16):
         out = execute(plan16, RAMP2, "dht", "exact")
         assert out.select is TransformSelect.DHT
@@ -122,6 +140,20 @@ class TestFixedMode:
         assert away.values[2].imag == 19.375
         assert trunc.values[2].imag == 19.25
 
+    def test_saturating_accumulation_order_pinned(self, plan16):
+        cfg = FixedConfig(acc_total_bits=16)
+        v = np.array(FULL_SCALE_RAWS) / 128
+        dft = execute(plan16, v, TransformSelect.DFT, cfg)
+        assert dft.real_raw == (21827, -8029, -32768, 28934, 21307, 17554, 7947, 27186,
+                                21945, 27186, 7947, 17554, 21307, 28934, -32768, -8029)
+        assert dft.imag_raw == (0, 32767, 3509, -1216, -26489, 9471, -32768, -32768,
+                                0, 32767, 32767, -9472, 26489, 1215, -3509, -32768)
+        assert dft.overflow
+        dht = execute(plan16, v, TransformSelect.DHT, cfg)
+        assert dht.real_raw == (21827, -32768, -32768, 30150, 32767, 8083, 32767, 32767,
+                                21945, -5581, -24820, 27026, -5182, 27719, -29259, 24739)
+        assert dht.overflow
+
     def test_overflow_flag_reported_not_raised(self):
         plan = build_plan(16)
         cramped = FixedConfig(fmt=QFormat(8, 3), acc_total_bits=9)
@@ -155,6 +187,21 @@ class TestCountOps:
 
     def test_order_8_needs_two_multiplications(self):
         assert count_ops(build_plan(8)).multiplications == 2
+
+    def test_rank_zero_stream_is_inert(self, plan16):
+        # a zero matrix factors with (N, 0) and (0, N) arrays; every pass over
+        # the streams must take it without a special case
+        zero = Stream("zero", 0.5, echelon_factor(np.zeros((16, 16), dtype=int)), "im", -1)
+        padded = LaurentPlan(16, plan16.streams + (zero,))
+        assert count_ops(padded) == count_ops(plan16)
+        assert np.array_equal(reconstruct(padded), reconstruct(plan16))
+        assert format_plan(padded).startswith("plan for N=16: 9 streams, 12 multiplications")
+        v = np.array(FULL_SCALE_RAWS) / 128
+        for arith in ("exact", FixedConfig(acc_total_bits=16)):
+            a = execute(padded, v, TransformSelect.DFT, arith)
+            b = execute(plan16, v, TransformSelect.DFT, arith)
+            assert np.array_equal(a.values, b.values)
+            assert (a.real_raw, a.imag_raw, a.overflow) == (b.real_raw, b.imag_raw, b.overflow)
 
     def test_pure_function_of_plan(self, plan16):
         a = count_ops(plan16)

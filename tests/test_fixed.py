@@ -71,6 +71,13 @@ class TestQuantize:
         assert quantize(-1000.0, Q16_7, flags=flags).raw == -32768
         assert flags.overflow
 
+    def test_non_finite_rejected(self):
+        for x in (math.inf, -math.inf, math.nan):
+            flags = OverflowFlag()
+            with pytest.raises(ValueError, match="not a finite number"):
+                quantize(x, Q16_7, ROUND_HALF_AWAY, flags)
+            assert not flags.overflow
+
     def test_round_trip_half_ulp(self):
         rng = np.random.default_rng(31)
         bound = 0.5 / Q16_7.scale

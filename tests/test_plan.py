@@ -24,31 +24,10 @@ from laurentfft import (
 RAMP2 = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7], dtype=float)
 
 
-def _rank_gauss(mat) -> int:
-    """Independent rank oracle: fraction-free integer Gaussian elimination."""
-    rows = [[int(x) for x in row] for row in np.asarray(mat)]
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    rank = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(rank, nrows) if rows[i][col] != 0), None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][col]
-        for i in range(rank + 1, nrows):
-            if rows[i][col]:
-                f = rows[i][col]
-                rows[i] = [lead * a - f * b for a, b in zip(rows[i], rows[rank])]
-        rank += 1
-    return rank
-
-
 def _all_plan_matrices(plan):
-    mats = [plan.unit.real_matrix, plan.unit.imag_matrix]
-    for t in plan.terms:
-        mats.append(t.real_factor.product())
-        mats.append(t.imag_factor.product())
+    mats = []
+    for s in plan.streams:
+        mats += [s.factor.product(), s.factor.combiner, s.factor.reduced_rows]
     return mats
 
 
@@ -148,10 +127,12 @@ class TestBuildM:
 
 
 class TestEchelonFactor:
-    def test_zero_matrix(self):
+    def test_zero_matrix(self, rank_gauss):
         f = echelon_factor(np.zeros((5, 5), dtype=int))
         assert f.rank == 0 and f.optimal
-        assert (f.product() == 0).all()
+        assert f.combiner.shape == (5, 0) and f.reduced_rows.shape == (0, 5)
+        assert f.product().shape == (5, 5) and (f.product() == 0).all()
+        assert rank_gauss(f.combiner) == rank_gauss(f.reduced_rows) == 0
 
     def test_rank_one_repeated_rows(self):
         pattern = np.array([1, 0, -1, 1])
@@ -176,55 +157,63 @@ class TestEchelonFactor:
         with pytest.raises(PlanConstructionError):
             echelon_factor(np.array([[2, 0], [0, 1]]))
 
-    def test_rank_sum_order_16_is_twelve(self):
+    def test_rank_sum_order_16_is_twelve(self, rank_gauss):
         plan = build_plan(16)
         total = 0
-        for t in plan.terms:
-            for f in (t.real_factor, t.imag_factor):
-                assert f.optimal
-                assert f.rank == _rank_gauss(f.product())
-                total += f.rank
+        for s in plan.streams:
+            if s.value is not None:
+                assert s.factor.optimal
+                assert s.factor.rank == rank_gauss(s.factor.product())
+                total += s.factor.rank
         assert total == 12
 
-    def test_factor_rank_matches_oracle_generally(self):
+    def test_factor_rank_matches_oracle_generally(self, rank_gauss):
         rng = np.random.default_rng(21)
         for _ in range(50):
             t = rng.integers(-1, 2, size=(6, 8))
             f = echelon_factor(t)
             assert (f.product() == t).all()
             if f.optimal:
-                assert f.rank == _rank_gauss(t)
+                assert f.rank == rank_gauss(t)
             else:
-                assert f.rank >= _rank_gauss(t)
+                assert f.rank >= rank_gauss(t)
 
 
 class TestBuildPlan:
     def test_order_16_structure(self):
         plan = build_plan(16)
-        labels = [t.label for t in plan.terms]
-        assert labels == ["cos(2*pi*1/16)", "sin(2*pi*1/16)", "sqrt(2)/2"]
-        values = [t.value for t in plan.terms]
-        assert values[0] == pytest.approx(math.cos(math.pi / 8), abs=1e-15)
-        assert values[1] == pytest.approx(math.sin(math.pi / 8), abs=1e-15)
-        assert values[2] == pytest.approx(math.sqrt(0.5), abs=1e-15)
-        signs = [t.imag_sign for t in plan.terms]
-        assert signs == [1, -1, 1]
+        labels = [s.label for s in plan.streams]
+        assert labels == ["unit", "unit", "cos(2*pi*1/16)", "cos(2*pi*1/16)",
+                          "sin(2*pi*1/16)", "sin(2*pi*1/16)", "sqrt(2)/2", "sqrt(2)/2"]
+        assert [s.dest for s in plan.streams] == ["re", "im"] * 4
+        values = [s.value for s in plan.streams]
+        assert values[:2] == [None, None]
+        assert values[2] == values[3] == pytest.approx(math.cos(math.pi / 8), abs=1e-15)
+        assert values[4] == values[5] == pytest.approx(math.sin(math.pi / 8), abs=1e-15)
+        assert values[6] == values[7] == pytest.approx(math.sqrt(0.5), abs=1e-15)
+        signs = [s.sign for s in plan.streams]
+        assert signs == [1, 1, 1, 1, 1, -1, 1, 1]
 
     def test_order_4_is_unit_only_and_exact(self):
         plan = build_plan(4)
-        assert plan.terms == ()
+        assert [(s.value, s.dest) for s in plan.streams] == [(None, "re"), (None, "im")]
         rec = reconstruct(plan)
         assert np.array_equal(rec, dft_matrix(4).round())  # entries are +-1, +-j
 
     def test_order_12_has_no_middle_term(self):
         plan = build_plan(12)
-        assert [t.m for t in plan.terms] == [1, 1]
-        assert all(t.label != "sqrt(2)/2" for t in plan.terms)
+        assert [s.label for s in plan.streams if s.value is not None] == (
+            ["cos(2*pi*1/12)"] * 2 + ["sin(2*pi*1/12)"] * 2)
         assert np.abs(reconstruct(plan) - dft_matrix(12)).max() < 1e-12
 
     def test_middle_term_present_iff_divisible_by_8(self):
-        assert any(t.label == "sqrt(2)/2" for t in build_plan(24).terms)
-        assert not any(t.label == "sqrt(2)/2" for t in build_plan(20).terms)
+        # the middle term is class m = N/8: w**(N/8) = (1 - j) * sqrt(2)/2
+        middle = [s for s in build_plan(24).streams if s.label == "sqrt(2)/2"]
+        assert [(s.dest, s.sign) for s in middle] == [("re", 1), ("im", 1)]
+        mid = build_M(3, 24)
+        assert (middle[0].factor.product() == mid.re + mid.im).all()
+        assert (middle[1].factor.product() == mid.im - mid.re).all()
+        assert not any(s.label == "sqrt(2)/2" for s in build_plan(20).streams)
 
     def test_unsupported_lengths(self):
         for bad in (10, 6, 2, 0, -4, 15):
@@ -248,13 +237,12 @@ class TestBuildPlan:
     def test_factorization_exactness_everywhere(self):
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
             plan = build_plan(n)
-            pairs = [(plan.unit.real_factor, plan.unit.real_matrix),
-                     (plan.unit.imag_factor, plan.unit.imag_matrix)]
-            for t in plan.terms:
-                pairs.append((t.real_factor, t.real_factor.product()))
-                pairs.append((t.imag_factor, t.imag_factor.product()))
+            m0 = build_M(0, n)
+            unit_re, unit_im = plan.streams[:2]
+            pairs = [(unit_re.factor, m0.re), (unit_im.factor, m0.im)]
+            pairs += [(s.factor, s.factor.product()) for s in plan.streams[2:]]
             for f, mat in pairs:
-                assert (f.combiner @ f.reduced_rows == mat).all() or f.rank == 0
+                assert (f.combiner @ f.reduced_rows == mat).all()
 
     def test_plans_are_optimal_in_test_range(self):
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
@@ -262,8 +250,11 @@ class TestBuildPlan:
 
     def test_plan_matrices_are_read_only(self):
         plan = build_plan(8)
-        with pytest.raises(ValueError):
-            plan.unit.real_matrix[0, 0] = 5
+        for s in plan.streams:
+            with pytest.raises(ValueError):
+                s.factor.combiner[0, 0] = 5
+            with pytest.raises(ValueError):
+                s.factor.reduced_rows[0, 0] = 5
 
 
 class TestFormatPlan:
