@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .engine import FixedConfig, TransformSelect, execute
-from .fixed import QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
+from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
 from .memory import load_stimulus, pack_output, run_device, write_output_words
 from .plan import build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
@@ -80,8 +80,9 @@ def _cmd_transform(args) -> int:
         # execute rejects non-finite samples by index before the probe sees them
         result = execute(plan, samples, select, cfg)
         for i, x in enumerate(samples):
-            probe = quantize(x, cfg.fmt, cfg.rounding)
-            if abs(probe.value - x) > 0.5 / cfg.fmt.scale + 1e-12:
+            saturated = OverflowFlag()
+            quantize(x, cfg.fmt, cfg.rounding, saturated)
+            if saturated.overflow:
                 raise CliError(f"sample {i} = {x!r} is outside the {cfg.fmt} range")
     else:
         result = execute(plan, samples, select, "exact")

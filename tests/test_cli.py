@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from laurentfft.cli import main
+from laurentfft.fixed import ROUNDING_MODES
+from laurentfft.plan import MAX_ORDER
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7] * 2
 STIM_LINES = ["SELECT DFT"] + [format(x * 128, "04X") for x in RAMP2]
@@ -80,13 +82,25 @@ class TestTransform:
                                "--input", str(ramp_file))
         assert code == 1 and err.startswith("error:")
 
-    def test_out_of_range_sample_names_index(self, capsys, tmp_path):
+    @pytest.mark.parametrize("rounding", ROUNDING_MODES)
+    def test_out_of_range_sample_names_index(self, capsys, tmp_path, rounding):
         path = tmp_path / "big.csv"
         path.write_text("0\n1\n2\n999\n" + "0\n" * 12)
         code, _, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
-                               "--input", str(path))
+                               "--round", rounding, "--input", str(path))
         assert code == 1
         assert "sample 3" in err
+
+    @pytest.mark.parametrize("rounding", ROUNDING_MODES)
+    def test_small_sample_in_range(self, capsys, tmp_path, rounding):
+        # 0.0077 is below one Q8.7 ulp: truncation errs by nearly a whole ulp
+        path = tmp_path / "small.csv"
+        path.write_text("0.0077\n" + "0\n" * 15)
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                                 "--round", rounding, "--input", str(path))
+        assert code == 0
+        assert err == ""
+        assert len(out.splitlines()) == 16
 
     @pytest.mark.parametrize("arith", ["exact", "fixed"])
     @pytest.mark.parametrize("token", ["inf", "nan"])
@@ -123,10 +137,11 @@ class TestPlan:
         assert "additions: 96" in out
         assert "term sqrt(2)/2" in out
 
-    def test_order_4_multiplication_free(self, capsys):
-        code, out, _ = run_cli(capsys, "plan", "--n", "4", "--count-ops")
+    @pytest.mark.parametrize("n, mults", [(4, 0), (128, 906)])
+    def test_order_4_multiplication_free(self, capsys, n, mults):
+        code, out, _ = run_cli(capsys, "plan", "--n", str(n), "--count-ops")
         assert code == 0
-        assert "multiplications: 0" in out
+        assert f"multiplications: {mults}\n" in out
 
     def test_count_only_suppresses_dump(self, capsys):
         _, out, _ = run_cli(capsys, "plan", "--n", "16", "--count-ops")
@@ -136,6 +151,13 @@ class TestPlan:
         code, _, err = run_cli(capsys, "plan", "--n", "10")
         assert code == 1
         assert "N ≡ 0 (mod 4)" in err
+
+    def test_length_above_limit(self, capsys):
+        code, out, err = run_cli(capsys, "plan", "--n", str(MAX_ORDER + 4))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
 
 
 class TestTestbench:
@@ -171,6 +193,17 @@ class TestTestbench:
         code, _, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
         assert code == 1
         assert err.startswith("error:")
+        assert not out_path.exists()
+
+    def test_stimulus_above_length_limit(self, capsys, tmp_path):
+        stim = tmp_path / "long.txt"
+        stim.write_text("\n".join(["SELECT DFT"] + ["0000"] * (MAX_ORDER + 4)) + "\n")
+        out_path = tmp_path / "words.hex"
+        code, out, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
+        assert code == 1
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
         assert not out_path.exists()
 
     def test_malformed_line_reported(self, capsys, tmp_path):

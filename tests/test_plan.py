@@ -128,11 +128,12 @@ class TestBuildM:
 
 class TestEchelonFactor:
     def test_zero_matrix(self, rank_gauss):
-        f = echelon_factor(np.zeros((5, 5), dtype=int))
-        assert f.rank == 0 and f.optimal
-        assert f.combiner.shape == (5, 0) and f.reduced_rows.shape == (0, 5)
-        assert f.product().shape == (5, 5) and (f.product() == 0).all()
-        assert rank_gauss(f.combiner) == rank_gauss(f.reduced_rows) == 0
+        for rows, cols in ((5, 5), (0, 5), (5, 0)):
+            f = echelon_factor(np.zeros((rows, cols), dtype=int))
+            assert f.rank == 0 and f.optimal
+            assert f.combiner.shape == (rows, 0) and f.reduced_rows.shape == (0, cols)
+            assert f.product().shape == (rows, cols) and (f.product() == 0).all()
+            assert rank_gauss(f.combiner) == rank_gauss(f.reduced_rows) == 0
 
     def test_rank_one_repeated_rows(self):
         pattern = np.array([1, 0, -1, 1])
@@ -144,8 +145,8 @@ class TestEchelonFactor:
         assert (f.product() == t).all()
 
     def test_non_ternary_rref_falls_back_with_flag(self):
-        # rref of this matrix contains +-1/2, so the distinct-rows fallback
-        # must be taken and flagged
+        # rref of this matrix contains +-1/2: its three distinct columns are
+        # dependent, so grouping keeps all three and flags the factorization
         t = np.array([[1, 1, 0], [1, -1, 1]])
         f = echelon_factor(t)
         assert not f.optimal
@@ -169,14 +170,32 @@ class TestEchelonFactor:
 
     def test_factor_rank_matches_oracle_generally(self, rank_gauss):
         rng = np.random.default_rng(21)
+        mats = [rng.integers(-1, 2, size=(6, 8)) for _ in range(50)]
+        # a few random columns repeated with random signs: grouping is optimal
+        # whenever the distinct columns are independent
         for _ in range(50):
-            t = rng.integers(-1, 2, size=(6, 8))
+            basis = rng.integers(-1, 2, size=(8, rng.integers(1, 5)))
+            pick = rng.integers(0, basis.shape[1], size=10)
+            mats.append(basis[:, pick] * rng.choice((-1, 1), size=10))
+        mats.append(np.array([[1, 0, 1], [0, 1, 1]]))
+        for t in mats:
             f = echelon_factor(t)
             assert (f.product() == t).all()
-            if f.optimal:
-                assert f.rank == rank_gauss(t)
-            else:
-                assert f.rank >= rank_gauss(t)
+            assert f.optimal == (f.rank == rank_gauss(t))
+            assert f.rank >= rank_gauss(t)
+        assert any(echelon_factor(t).optimal for t in mats)
+        assert not echelon_factor(mats[-1]).optimal
+
+    def test_plan_factors_are_reduced_row_echelon(self, rank_gauss):
+        # the rref is unique, so these factors are those of an exact rref route
+        for n in range(4, 65, 4):
+            for s in build_plan(n).streams:
+                r = s.factor.reduced_rows
+                assert np.isin(r, (-1, 0, 1)).all()
+                assert s.factor.rank == rank_gauss(s.factor.product())
+                pivots = [int(np.flatnonzero(row)[0]) for row in r]
+                assert pivots == sorted(pivots)
+                assert (r[:, pivots] == np.eye(len(pivots), dtype=int)).all()
 
 
 class TestBuildPlan:
