@@ -77,13 +77,15 @@ def _cmd_transform(args) -> int:
 
     if args.arith == "fixed":
         cfg = FixedConfig(QFormat(16, args.frac_bits), args.round)
-        # execute rejects non-finite samples by index before the probe sees them
-        result = execute(plan, samples, select, cfg)
+        # probe every sample before paying for the transform
         for i, x in enumerate(samples):
+            if not np.isfinite(x):
+                raise CliError(f"sample {i} = {x!r} is not a finite number")
             saturated = OverflowFlag()
             quantize(x, cfg.fmt, cfg.rounding, saturated)
             if saturated.overflow:
                 raise CliError(f"sample {i} = {x!r} is outside the {cfg.fmt} range")
+        result = execute(plan, samples, select, cfg)
     else:
         result = execute(plan, samples, select, "exact")
 

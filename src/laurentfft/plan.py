@@ -41,9 +41,9 @@ from .reference import dft_matrix
 
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
-# fails at once instead of building for minutes.  On a 2-vCPU machine
-# build_plan(256) takes 1.4 s at 52 MB peak RSS and build_plan(512) 19 s at
-# 180 MB; the time grows more than 8x each time N doubles.
+# fails at once instead of building for long.  On one CPU of a 2-vCPU
+# machine build_plan(256) takes 0.32 s at 54 MB peak RSS and build_plan(512)
+# 2.8 s at 183 MB; the time grows 7-9x and the memory 3.4x each time N doubles.
 MAX_ORDER = 512
 # Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
@@ -96,8 +96,7 @@ class GaussianIntegerMatrix:
     im: np.ndarray
 
     def __post_init__(self):
-        weight = np.abs(self.re) + np.abs(self.im)
-        if not np.isin(weight, (0, 1)).all():
+        if not (np.abs(self.re) + np.abs(self.im) <= 1).all():
             raise PlanConstructionError("entries must be 0 or a unit (+-1, +-j)")
         self.re.setflags(write=False)
         self.im.setflags(write=False)
@@ -116,19 +115,23 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
     """
     _require_mod4(n)
     step = n // 4
-    d = (exponent_matrix(n) - m) % n
-    # (-j)**unit at the positions of class C_m, -1 elsewhere
+    d = (np.arange(n) - m) % n
+    # (-j)**unit for each residue of class C_m, -1 elsewhere; looked up per entry
     unit = np.where(d % step == 0, d // step, -1)
-    re = (unit == 0).astype(np.int64) - (unit == 2)
-    im = (unit == 3).astype(np.int64) - (unit == 1)
+    e = exponent_matrix(n)
+    re = ((unit == 0).astype(np.int64) - (unit == 2))[e]
+    im = ((unit == 3).astype(np.int64) - (unit == 1))[e]
     return GaussianIntegerMatrix(re, im)
 
 
 def _as_ternary(mat: np.ndarray) -> np.ndarray:
-    mat = np.asarray(mat, dtype=np.int64)
-    if not np.isin(mat, (-1, 0, 1)).all():
-        raise PlanConstructionError("matrix entries escaped {-1, 0, +1}")
-    return mat
+    # test the values as given: a bare cast would truncate 0.5 to 0
+    values = np.asarray(mat)
+    if (np.abs(values) <= 1).all():
+        t = values.astype(np.int64, copy=False)
+        if (t == values).all():
+            return t
+    raise PlanConstructionError("matrix entries escaped {-1, 0, +1}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,11 +160,20 @@ class FactoredTernary:
 
 
 def _independent_columns(mat: np.ndarray) -> bool:
-    """True if the integer columns are linearly independent modulo _PRIME.
+    """True if the integer columns are linearly independent.
 
-    Independence modulo a prime implies independence over the rationals.
+    A column that is the only nonzero in some row has a zero coefficient in
+    every vanishing combination of the columns, so it is peeled off; peeling
+    repeats until no such column is left.  The rest are reduced by Gaussian
+    elimination modulo _PRIME: independence modulo a prime implies
+    independence over the rationals, and peeling is exact over both.
     """
-    a = mat % _PRIME
+    live = mat != 0
+    keep = np.ones(mat.shape[1], dtype=bool)
+    while (peel := live[live.sum(axis=1) == 1].any(axis=0)).any():
+        live[:, peel] = False
+        keep &= ~peel
+    a = mat[:, keep] % _PRIME
     for j in range(a.shape[1]):
         nonzero = np.flatnonzero(a[j:, j])
         if nonzero.size == 0:
@@ -176,35 +188,34 @@ def _independent_columns(mat: np.ndarray) -> bool:
 def echelon_factor(mat) -> FactoredTernary:
     """Factor a ternary matrix as combiner @ reduced_rows, both ternary.
 
-    The nonzero columns are grouped by their pattern up to sign, each
-    column visited once.  The combiner holds the first (pivot) column of
-    each group; the group's reduced row is +1 at the pivot and, at every
-    other member, that member's sign relative to the pivot.  The product
-    reproduces the input exactly.  When the pivot columns are independent
-    the reduced rows are the reduced row-echelon form and rank is the
-    rational rank.  A matrix whose distinct columns are dependent, such as
-    [[1, 0, 1], [0, 1, 1]], keeps one row per group and is flagged
+    The nonzero columns are grouped by their pattern up to sign: each column
+    is multiplied by its leading nonzero entry and looked up by its bytes,
+    and the groups are numbered in order of first appearance.  The combiner
+    holds the first (pivot) column of each group; the group's reduced row is
+    +1 at the pivot and, at every other member, that member's sign relative
+    to the pivot, so every column of reduced_rows has at most one nonzero.
+    The product reproduces the input exactly.  When the pivot columns are
+    independent the reduced rows are the reduced row-echelon form and rank
+    is the rational rank.  A matrix whose distinct columns are dependent,
+    such as [[1, 0, 1], [0, 1, 1]], keeps one row per group and is flagged
     non-optimal (rank 3 there, against a rational rank of 2).
     """
     t = _as_ternary(mat)
+    cols = np.flatnonzero(t.any(axis=0))
+    sub = t[:, cols]
+    # an argmax over zero rows raises; with no rows there are no columns
+    lead = sub[(sub != 0).argmax(axis=0) if t.shape[0] else cols, np.arange(cols.size)]
     groups: dict[bytes, int] = {}
-    pivots, entries = [], []
-    for c, col in enumerate(t.T):
-        nonzero = np.flatnonzero(col)
-        if nonzero.size == 0:
-            continue
-        lead = int(col[nonzero[0]])
-        g = groups.setdefault((lead * col).tobytes(), len(pivots))
-        if g == len(pivots):
-            pivots.append((c, lead))
-        entries.append((g, c, lead * pivots[g][1]))
-    combiner = t[:, [c for c, _ in pivots]].copy()
-    reduced = np.zeros((len(pivots), t.shape[1]), dtype=np.int64)
-    for g, c, sign in entries:
-        reduced[g, c] = sign
-    if not (combiner @ reduced == t).all():
+    keys = np.ascontiguousarray((sub * lead).T, dtype=np.int8)
+    g = np.array([groups.setdefault(k.tobytes(), len(groups)) for k in keys], dtype=np.intp)
+    first = np.unique(g, return_index=True)[1]
+    combiner = sub[:, first].copy()
+    sign = lead * lead[first][g]
+    if not (combiner[:, g] * sign == sub).all():
         raise PlanConstructionError("column grouping failed to reproduce the matrix")
-    return FactoredTernary(combiner, reduced, len(pivots), _independent_columns(combiner))
+    reduced = np.zeros((first.size, t.shape[1]), dtype=np.int64)
+    reduced[g, cols] = sign
+    return FactoredTernary(combiner, reduced, first.size, _independent_columns(combiner))
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,7 +299,8 @@ def reconstruct(plan: LaurentPlan) -> np.ndarray:
     """Reassemble the complex transform matrix the plan represents."""
     acc = {"re": np.zeros((plan.order, plan.order)), "im": np.zeros((plan.order, plan.order))}
     for s in plan.streams:
-        acc[s.dest] = acc[s.dest] + s.weight * s.factor.product()
+        # one nonzero per column of reduced_rows: each entry is weight * product()
+        acc[s.dest] = acc[s.dest] + (s.weight * s.factor.combiner) @ s.factor.reduced_rows
     return acc["re"] + 1j * acc["im"]
 
 

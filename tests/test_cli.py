@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from laurentfft import cli
 from laurentfft.cli import main
 from laurentfft.fixed import ROUNDING_MODES
 from laurentfft.plan import MAX_ORDER
@@ -90,6 +91,20 @@ class TestTransform:
                                "--round", rounding, "--input", str(path))
         assert code == 1
         assert "sample 3" in err
+
+    def test_out_of_range_sample_rejected_before_transform(self, capsys, tmp_path,
+                                                           monkeypatch):
+        def no_transform(*args, **kwargs):
+            raise AssertionError("the transform ran before the range probe")
+
+        monkeypatch.setattr(cli, "execute", no_transform)
+        path = tmp_path / "big.csv"
+        path.write_text("0\n1\n2\n999\n" + "0\n" * 12)
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                                 "--input", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.splitlines() == ["error: sample 3 = 999.0 is outside the Q8.7 range"]
 
     @pytest.mark.parametrize("rounding", ROUNDING_MODES)
     def test_small_sample_in_range(self, capsys, tmp_path, rounding):

@@ -20,6 +20,7 @@ from laurentfft import (
     format_plan,
     reconstruct,
 )
+from laurentfft.plan import _independent_columns
 
 RAMP2 = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7], dtype=float)
 
@@ -155,8 +156,10 @@ class TestEchelonFactor:
         assert np.isin(f.combiner, (-1, 0, 1)).all()
 
     def test_non_ternary_input_rejected(self):
-        with pytest.raises(PlanConstructionError):
-            echelon_factor(np.array([[2, 0], [0, 1]]))
+        # a cast to integers before the test would make the second one ternary
+        for bad in ([[2, 0], [0, 1]], [[0.5, 1.0], [1.7, -1.2]], [[1.0, np.nan]]):
+            with pytest.raises(PlanConstructionError):
+                echelon_factor(np.array(bad))
 
     def test_rank_sum_order_16_is_twelve(self, rank_gauss):
         plan = build_plan(16)
@@ -196,6 +199,24 @@ class TestEchelonFactor:
                 pivots = [int(np.flatnonzero(row)[0]) for row in r]
                 assert pivots == sorted(pivots)
                 assert (r[:, pivots] == np.eye(len(pivots), dtype=int)).all()
+
+
+class TestIndependentColumns:
+    @pytest.mark.parametrize("mat, independent", [
+        # peeling alone: row 0 peels column 0, then row 1 column 1, then column 2
+        ([[1, 0, 0], [1, 1, 0], [-1, 1, 1]], True),
+        # every row has two nonzeros, so nothing peels; column 2 = column 0 + column 1
+        ([[1, 0, 1], [0, 1, 1]], False),
+        # rows 3 and 4 peel columns 3 and 4; column 2 = column 0 - column 1 remains
+        ([[1, 0, 1, 1, 0], [0, 1, -1, 0, 1], [1, 1, 0, 1, 1],
+          [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], False),
+        # row 3 peels column 3; the 3 x 3 core left has determinant 2
+        ([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1]], True),
+    ], ids=["peeled", "dependent", "dependent-core", "independent-core"])
+    def test_against_rank_oracle(self, rank_gauss, mat, independent):
+        mat = np.array(mat)
+        assert _independent_columns(mat) == independent
+        assert independent == (rank_gauss(mat) == mat.shape[1])
 
 
 class TestBuildPlan:
@@ -243,6 +264,15 @@ class TestBuildPlan:
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
             plan = build_plan(n)
             assert np.abs(reconstruct(plan) - dft_matrix(n)).max() < 1e-12
+
+    def test_reconstruct_is_sum_of_weighted_products(self):
+        # reconstruct's earlier definition, kept as the oracle: bit for bit equal
+        for n in range(4, 65, 4):
+            plan = build_plan(n)
+            acc = {"re": np.zeros((n, n)), "im": np.zeros((n, n))}
+            for s in plan.streams:
+                acc[s.dest] = acc[s.dest] + s.weight * s.factor.product()
+            assert reconstruct(plan).tobytes() == (acc["re"] + 1j * acc["im"]).tobytes()
 
     def test_entry_16_1_1(self):
         rec = reconstruct(build_plan(16))
