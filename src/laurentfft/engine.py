@@ -7,6 +7,9 @@ the result is added to or subtracted from its output accumulator in stream
 order.  A single select bit chooses Fourier output (Re, Im) or Hartley
 output (Re - Im).  In fixed mode every operation is saturating Q-format
 integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+Each row of a factor is accumulated over its nonzero terms only, in
+increasing column order; like the stream order, that order decides where a
+narrow accumulator saturates, so it is part of the bit-exact result.
 The structural operation count, count_ops, is defined with the plan and
 re-exported here.
 """
@@ -28,9 +31,8 @@ from .fixed import (
     fx_mul,
     fx_sub,
     quantize,
-    widen,
 )
-from .plan import LaurentPlan, OpCount, count_ops  # noqa: F401
+from .plan import LaurentPlan, OpCount, RowTerms, count_ops  # noqa: F401
 
 
 class TransformSelect(enum.Enum):
@@ -92,16 +94,16 @@ def _execute_exact(plan: LaurentPlan, v: np.ndarray, select: TransformSelect) ->
     return TransformResult(select, re + 1j * im)
 
 
-def _rows_fixed(mat: np.ndarray, vals: list[Fixed], zero: Fixed,
+def _rows_fixed(terms: RowTerms, vals: list[Fixed], zero: Fixed,
                 flags: OverflowFlag) -> list[Fixed]:
     out = []
-    for row in mat:
+    for row in terms:
         acc = zero
-        for coef, x in zip(row, vals):
-            if coef > 0:
-                acc = fx_add(acc, x, flags)
-            elif coef < 0:
-                acc = fx_sub(acc, x, flags)
+        for col, positive in row:
+            if positive:
+                acc = fx_add(acc, vals[col], flags)
+            else:
+                acc = fx_sub(acc, vals[col], flags)
         out.append(acc)
     return out
 
@@ -109,8 +111,11 @@ def _rows_fixed(mat: np.ndarray, vals: list[Fixed], zero: Fixed,
 def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
     flags = OverflowFlag()
-    zero = Fixed(0, cfg.acc_fmt)
-    x = [widen(quantize(s, cfg.fmt, cfg.rounding, flags), cfg.acc_total_bits) for s in v]
+    # One accumulator format object per run, shared by every operand, so the
+    # format checks in the scalar ops are identity tests.
+    acc_fmt = cfg.acc_fmt
+    zero = Fixed(0, acc_fmt)
+    x = [Fixed(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
     rom = {c: quantize(c, cfg.fmt, cfg.rounding, flags)
            for c in dict.fromkeys(s.value for s in plan.streams) if c is not None}
@@ -119,10 +124,10 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
     # becomes its contents; every later stream is added or subtracted.
     acc: dict[str, list[Fixed]] = {}
     for s in plan.streams:
-        u = _rows_fixed(s.factor.reduced_rows, x, zero, flags)
+        u = _rows_fixed(s.factor.reduced_terms, x, zero, flags)
         if s.value is not None:
             u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
-        y = _rows_fixed(s.factor.combiner, u, zero, flags)
+        y = _rows_fixed(s.factor.combiner_terms, u, zero, flags)
         if s.dest not in acc:
             acc[s.dest] = y
             continue

@@ -9,6 +9,7 @@ runs and platforms.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -32,15 +33,15 @@ class QFormat:
                 f"got total_bits={self.total_bits}, frac_bits={self.frac_bits}"
             )
 
-    @property
+    @functools.cached_property
     def scale(self) -> int:
         return 1 << self.frac_bits
 
-    @property
+    @functools.cached_property
     def min_raw(self) -> int:
         return -(1 << (self.total_bits - 1))
 
-    @property
+    @functools.cached_property
     def max_raw(self) -> int:
         return (1 << (self.total_bits - 1)) - 1
 
@@ -129,7 +130,7 @@ def widen(a: Fixed, total_bits: int) -> Fixed:
 
 
 def _require_same_format(a: Fixed, b: Fixed):
-    if a.fmt != b.fmt:
+    if a.fmt is not b.fmt and a.fmt != b.fmt:
         raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
 
 

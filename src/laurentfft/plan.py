@@ -32,6 +32,7 @@ caller error.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -42,9 +43,11 @@ from .reference import dft_matrix
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
 # fails at once instead of building for long.  On one CPU of a 2-vCPU
-# machine build_plan(256) takes 0.32 s at 54 MB peak RSS and build_plan(512)
-# 2.8 s at 183 MB; the time grows 7-9x and the memory 3.4x each time N doubles.
+# machine build_plan(256) takes 0.30 s at 54 MB peak RSS and build_plan(512)
+# 2.6 s at 183 MB; the time grows 7-9x and the memory 3.4x each time N doubles.
 MAX_ORDER = 512
+# Each row's nonzero entries of a ternary matrix as (column, positive) pairs.
+RowTerms = tuple[tuple[tuple[int, bool], ...], ...]
 # Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
 
@@ -72,6 +75,14 @@ def exponent_matrix(n: int) -> np.ndarray:
         raise ValueError("order must be positive")
     idx = np.arange(n)
     return np.outer(idx, idx) % n
+
+
+@functools.lru_cache(maxsize=1)
+def _exponents(n: int) -> np.ndarray:
+    # build_M reads the exponent matrix for every class of one N in turn
+    e = exponent_matrix(n)
+    e.setflags(write=False)
+    return e
 
 
 def chi(l: int, n: int) -> np.ndarray:
@@ -118,7 +129,7 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
     d = (np.arange(n) - m) % n
     # (-j)**unit for each residue of class C_m, -1 elsewhere; looked up per entry
     unit = np.where(d % step == 0, d // step, -1)
-    e = exponent_matrix(n)
+    e = _exponents(n)
     re = ((unit == 0).astype(np.int64) - (unit == 2))[e]
     im = ((unit == 3).astype(np.int64) - (unit == 1))[e]
     return GaussianIntegerMatrix(re, im)
@@ -143,7 +154,9 @@ class FactoredTernary:
     to sign.  At rank 0 the factors are (rows, 0) and (0, cols) arrays, so
     every product with them is a correctly shaped zero.  optimal is True
     when the combiner columns are linearly independent, so that rank is the
-    rational rank of T; otherwise rank exceeds it.
+    rational rank of T; otherwise rank exceeds it.  reduced_terms and
+    combiner_terms list each row's nonzero entries; they are computed on
+    first use, so building a plan does not pay for them.
     """
 
     combiner: np.ndarray
@@ -157,6 +170,21 @@ class FactoredTernary:
 
     def product(self) -> np.ndarray:
         return self.combiner @ self.reduced_rows
+
+    @functools.cached_property
+    def reduced_terms(self) -> RowTerms:
+        """Nonzero entries of each reduced row as (column, positive) pairs
+        in increasing column order."""
+        return _row_terms(self.reduced_rows)
+
+    @functools.cached_property
+    def combiner_terms(self) -> RowTerms:
+        """Nonzero entries of each combiner row, as for reduced_terms."""
+        return _row_terms(self.combiner)
+
+
+def _row_terms(mat: np.ndarray) -> RowTerms:
+    return tuple(tuple((c, x > 0) for c, x in enumerate(row) if x) for row in mat.tolist())
 
 
 def _independent_columns(mat: np.ndarray) -> bool:

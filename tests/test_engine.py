@@ -1,14 +1,17 @@
 """Engine behavior: agreement with the direct oracle, bit-exact device
 arithmetic on the golden 16-point vector, and structural op counts."""
 
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
 
 from laurentfft import (
+    Fixed,
     FixedConfig,
     LaurentPlan,
+    OverflowFlag,
     QFormat,
     Stream,
     TransformSelect,
@@ -17,10 +20,16 @@ from laurentfft import (
     dft_direct,
     dht_direct,
     echelon_factor,
+    engine,
     execute,
     format_plan,
+    fx_add,
+    fx_mul,
+    fx_sub,
     quantization_report,
+    quantize,
     reconstruct,
+    widen,
 )
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
@@ -43,6 +52,46 @@ FULL_SCALE_RAWS = [22123, -15623, -25605, -13207, -5649, 20593, -3194, -26745,
 @pytest.fixture(scope="module")
 def plan16():
     return build_plan(16)
+
+
+def _dense_rows_fixed(mat, vals, zero, flags):
+    out = []
+    for row in mat:
+        acc = zero
+        for coef, x in zip(row, vals):
+            if coef > 0:
+                acc = fx_add(acc, x, flags)
+            elif coef < 0:
+                acc = fx_sub(acc, x, flags)
+        out.append(acc)
+    return out
+
+
+def _oracle_fixed(plan, v, select, cfg):
+    """The fixed executor walking every entry of the dense factor matrices,
+    zeros included, with each sample widened on its own: (real raws, imag
+    raws or None, overflow)."""
+    flags = OverflowFlag()
+    zero = Fixed(0, cfg.acc_fmt)
+    x = [widen(quantize(s, cfg.fmt, cfg.rounding, flags), cfg.acc_total_bits) for s in v]
+    rom = {c: quantize(c, cfg.fmt, cfg.rounding, flags)
+           for c in dict.fromkeys(s.value for s in plan.streams) if c is not None}
+    acc = {}
+    for s in plan.streams:
+        u = _dense_rows_fixed(s.factor.reduced_rows, x, zero, flags)
+        if s.value is not None:
+            u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
+        y = _dense_rows_fixed(s.factor.combiner, u, zero, flags)
+        if s.dest not in acc:
+            acc[s.dest] = y
+            continue
+        merge = fx_add if s.sign > 0 else fx_sub
+        acc[s.dest] = [merge(a, b, flags) for a, b in zip(acc[s.dest], y)]
+    re, im = acc["re"], acc["im"]
+    if select is TransformSelect.DHT:
+        h = [fx_sub(a, b, flags) for a, b in zip(re, im)]
+        return tuple(f.raw for f in h), None, flags.overflow
+    return tuple(f.raw for f in re), tuple(f.raw for f in im), flags.overflow
 
 
 class TestExactMode:
@@ -154,6 +203,27 @@ class TestFixedMode:
                                 21945, -5581, -24820, 27026, -5182, 27719, -29259, 24739)
         assert dht.overflow
 
+    @pytest.mark.parametrize("rounding, acc_bits", [
+        ("half-away", 32), ("half-even", 18), ("truncate", 17), ("half-away", 16)])
+    def test_matches_dense_oracle(self, rounding, acc_bits):
+        # The executor walks each row's nonzero terms in column order; the
+        # oracle walks every entry.  Narrow accumulators saturate on the
+        # full-scale inputs, so a different term order shows in the raws.
+        cfg = FixedConfig(rounding=rounding, acc_total_bits=acc_bits)
+        rng = np.random.default_rng(acc_bits)
+        overflows = []
+        for n in range(4, 65, 4):
+            plan = build_plan(n)
+            small = rng.integers(-128, 128, size=n) / 128
+            full = rng.integers(-32768, 32768, size=n) / 128
+            for v in (small, full):
+                for select in TransformSelect:
+                    out = execute(plan, v, select, cfg)
+                    got = (out.real_raw, out.imag_raw, out.overflow)
+                    assert got == _oracle_fixed(plan, v, select, cfg), (n, select)
+                    overflows.append(out.overflow)
+        assert any(overflows) == (acc_bits < 32)
+
     def test_overflow_flag_reported_not_raised(self):
         plan = build_plan(16)
         cramped = FixedConfig(fmt=QFormat(8, 3), acc_total_bits=9)
@@ -181,6 +251,21 @@ class TestCountOps:
         assert ops.additions == 96
         assert ops.accumulation_adds == 56
         assert ops.dht_extra_adds == 16
+
+    def test_executed_adds_at_order_16(self, plan16, monkeypatch):
+        # The engine runs more adds than count_ops reports (152 on a DFT, plus
+        # 16 on a DHT): every row starts from zero and every stream merge
+        # takes whole N-vectors.
+        calls = Counter()
+        for name in ("fx_add", "fx_sub"):
+            def counted(*args, _op=getattr(engine, name), _name=name):
+                calls[_name] += 1
+                return _op(*args)
+            monkeypatch.setattr(engine, name, counted)
+        for select, expected in ((TransformSelect.DFT, 298), (TransformSelect.DHT, 314)):
+            calls.clear()
+            execute(plan16, RAMP2, select, FixedConfig())
+            assert calls["fx_add"] + calls["fx_sub"] == expected
 
     def test_order_4_is_multiplication_free(self):
         assert count_ops(build_plan(4)).multiplications == 0

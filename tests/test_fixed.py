@@ -1,5 +1,6 @@
 """Q-format arithmetic: rounding, saturation, stickiness, bit-reproducibility."""
 
+import dataclasses
 import math
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
@@ -30,6 +31,18 @@ class TestQFormat:
         assert Q16_7.min_raw == -32768
         assert Q16_7.max_raw == 32767
         assert str(Q16_7) == "Q8.7"
+
+    def test_cached_bounds_leave_value_semantics(self):
+        fmt = QFormat(16, 7)
+        assert (fmt.scale, fmt.min_raw, fmt.max_raw) == (128, -32768, 32767)
+        fresh = QFormat(16, 7)
+        assert fmt == fresh and fmt is not fresh
+        assert hash(fmt) == hash(fresh)
+        assert repr(fmt) == repr(fresh) == "QFormat(total_bits=16, frac_bits=7)"
+        assert len(dataclasses.fields(fmt)) == 2
+        assert fx_add(Fixed(1, fmt), Fixed(2, fresh)).raw == 3
+        with pytest.raises(ValueError, match="format mismatch"):
+            fx_add(Fixed(1, fmt), Fixed(1, QFormat(32, 7)))
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -297,6 +297,21 @@ class TestBuildPlan:
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
             assert build_plan(n).optimal
 
+    def test_row_terms_rebuild_the_factors(self):
+        for n in range(4, 129, 4):
+            for s in build_plan(n).streams:
+                f = s.factor
+                for mat, terms in ((f.reduced_rows, f.reduced_terms),
+                                   (f.combiner, f.combiner_terms)):
+                    assert len(terms) == mat.shape[0]
+                    rebuilt = np.zeros_like(mat)
+                    for i, row in enumerate(terms):
+                        cols = [c for c, _ in row]
+                        assert all(a < b for a, b in zip(cols, cols[1:])), (n, s.label, i)
+                        for c, positive in row:
+                            rebuilt[i, c] = 1 if positive else -1
+                    assert np.array_equal(rebuilt, mat), (n, s.label)
+
     def test_plan_matrices_are_read_only(self):
         plan = build_plan(8)
         for s in plan.streams:
