@@ -45,11 +45,6 @@ def _read_samples(path) -> list[float]:
     return values
 
 
-def _write_text(stream, lines):
-    for line in lines:
-        stream.write(line + "\n")
-
-
 def _format_values(result, fmt: str, select: TransformSelect):
     if fmt == "text":
         if select is TransformSelect.DFT:
@@ -92,9 +87,9 @@ def _cmd_transform(args) -> int:
     lines = _format_values(result, args.format, select)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
-            _write_text(fh, lines)
+            fh.writelines(line + "\n" for line in lines)
     else:
-        _write_text(sys.stdout, lines)
+        sys.stdout.writelines(line + "\n" for line in lines)
 
     if args.compare:
         oracle = dft_direct(samples) if select is TransformSelect.DFT else dht_direct(samples)

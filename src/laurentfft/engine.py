@@ -4,9 +4,10 @@ Each stream of the plan is applied as combiner @ (scalar * (reduced_rows @ v)):
 the reduced rows cost additions, the scalar costs rank-many multiplications
 (none for the unweighted streams), the combiner costs additions again, and
 the result is added to or subtracted from its output accumulator in stream
-order.  A single select bit chooses Fourier output (Re, Im) or Hartley
-output (Re - Im).  In fixed mode every operation is saturating Q-format
-integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+order; exact mode runs that pass in doubles, as reconstruct does.  A select
+bit chooses Fourier output (Re, Im) or Hartley output (Re - Im).  In fixed
+mode every operation is saturating Q-format integer arithmetic: 16-bit
+inputs and constants, 32-bit accumulators.
 Each row of a factor is accumulated over its nonzero terms only, in
 increasing column order; like the stream order, that order decides where a
 narrow accumulator saturates, so it is part of the bit-exact result.
@@ -32,7 +33,9 @@ from .fixed import (
     fx_sub,
     quantize,
 )
-from .plan import LaurentPlan, OpCount, RowTerms, count_ops  # noqa: F401
+from .plan import LaurentPlan, OpCount, RowTerms, _merge_streams, count_ops  # noqa: F401
+
+FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport
 
 
 class TransformSelect(enum.Enum):
@@ -85,10 +88,7 @@ def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
 
 
 def _execute_exact(plan: LaurentPlan, v: np.ndarray, select: TransformSelect) -> TransformResult:
-    acc = {"re": np.zeros(plan.order), "im": np.zeros(plan.order)}
-    for s in plan.streams:
-        acc[s.dest] = acc[s.dest] + s.weight * (s.factor.combiner @ (s.factor.reduced_rows @ v))
-    re, im = acc["re"], acc["im"]
+    re, im = _merge_streams(plan, (s.factor.reduced_rows @ v for s in plan.streams))
     if select is TransformSelect.DHT:
         return TransformResult(select, re - im)
     return TransformResult(select, re + 1j * im)
@@ -168,7 +168,7 @@ class QuantizationReport:
     """Componentwise fixed-vs-exact comparison over the significant bins.
 
     Components (Re/Im per bin for DFT, H per bin for DHT) whose exact
-    magnitude is below floor_frac * peak are left out of the maximum: the
+    magnitude is below FLOOR_FRAC * peak are left out of the maximum: the
     device error is a fixed absolute quantity, so ratios against near-zero
     components measure nothing about the arithmetic.  max_rel_error is the
     worst included ratio and dominant_bins the bin indices attaining it.
@@ -181,8 +181,7 @@ class QuantizationReport:
 
 
 def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = None,
-                        select: TransformSelect = TransformSelect.DFT,
-                        floor_frac: float = 0.25) -> QuantizationReport:
+                        select: TransformSelect = TransformSelect.DFT) -> QuantizationReport:
     """Maximum relative error of the fixed-point run against the exact run."""
     cfg = cfg or FixedConfig()
     exact = execute(plan, samples, select, "exact")
@@ -197,7 +196,7 @@ def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = No
                       for k in range(plan.order)]
 
     peak = max(abs(e) for _, _, e, _ in components)
-    floor = floor_frac * peak
+    floor = FLOOR_FRAC * peak
     entries = []
     for k, name, e, f in components:
         if abs(e) > floor:

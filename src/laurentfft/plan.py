@@ -22,8 +22,8 @@ count is rank(T) and R is the reduced row-echelon form of T.
 A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
-Both executors, count_ops, reconstruct and format_plan are each one pass
-over that tuple.
+Every walker (the fixed executor, the float pass that exact mode and
+reconstruct share, count_ops and format_plan) is one pass over that tuple.
 
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
@@ -111,10 +111,6 @@ class GaussianIntegerMatrix:
             raise PlanConstructionError("entries must be 0 or a unit (+-1, +-j)")
         self.re.setflags(write=False)
         self.im.setflags(write=False)
-
-    @property
-    def order(self) -> int:
-        return self.re.shape[0]
 
 
 def build_M(m: int, n: int) -> GaussianIntegerMatrix:
@@ -250,10 +246,10 @@ def echelon_factor(mat) -> FactoredTernary:
 class Stream:
     """One scalar-weighted ternary matrix feeding one output accumulator.
 
-    The accumulator dest ("re" or "im") receives
-    sign * value * (factor.product() @ v).
-    value is None for the two unweighted M_0 streams, which cost no
-    multiplications; sign is -1 only on the imaginary stream of a sine term.
+    Applied in the device's stage order: u = reduced_rows @ v, then value * u
+    (rank multiplications; value is None on the two M_0 streams, which need
+    none), then combiner @ that, added to the accumulator dest ("re" or "im")
+    if sign is +1 and subtracted if -1 (only the sine terms' im streams).
     """
 
     label: str
@@ -261,11 +257,6 @@ class Stream:
     factor: FactoredTernary
     dest: str
     sign: int
-
-    @property
-    def weight(self) -> float:
-        """sign * value as one float; the unweighted streams weigh sign * 1."""
-        return self.sign * (1.0 if self.value is None else self.value)
 
 
 @dataclass(frozen=True, eq=False)
@@ -323,13 +314,28 @@ def build_plan(n: int) -> LaurentPlan:
     return plan
 
 
+def _merge_streams(plan: LaurentPlan, reduced) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) from each stream's reduced-row output, in plan order: scale by
+    value (weighted streams), apply the combiner, then merge as the fixed
+    executor does, the first stream into an accumulator becoming its contents."""
+    acc: dict[str, np.ndarray] = {}
+    for s, u in zip(plan.streams, reduced):
+        y = s.factor.combiner @ (u if s.value is None else s.value * u)
+        if s.dest not in acc:
+            acc[s.dest] = y
+        elif s.sign > 0:
+            acc[s.dest] += y
+        else:
+            acc[s.dest] -= y
+    return acc["re"], acc["im"]
+
+
 def reconstruct(plan: LaurentPlan) -> np.ndarray:
-    """Reassemble the complex transform matrix the plan represents."""
-    acc = {"re": np.zeros((plan.order, plan.order)), "im": np.zeros((plan.order, plan.order))}
-    for s in plan.streams:
-        # one nonzero per column of reduced_rows: each entry is weight * product()
-        acc[s.dest] = acc[s.dest] + (s.weight * s.factor.combiner) @ s.factor.reduced_rows
-    return acc["re"] + 1j * acc["im"]
+    """The complex matrix the plan represents: exact mode's float pass fed with
+    reduced_rows @ I, so build_plan's self-check runs exact mode's arithmetic.
+    A reduced_rows column has at most one nonzero, so each entry is one product."""
+    re, im = _merge_streams(plan, (s.factor.reduced_rows.astype(float) for s in plan.streams))
+    return re + 1j * im
 
 
 @dataclass(frozen=True)

@@ -148,6 +148,16 @@ class TestExactMode:
         out = execute(plan16, RAMP2, "dht", "exact")
         assert out.select is TransformSelect.DHT
 
+    def test_self_check_covers_exact_mode(self):
+        # reconstruct is exact mode's pass fed with reduced_rows @ I, so
+        # build_plan's self-check vouches for exact mode on every basis vector
+        for n in range(4, 65, 4):
+            plan = build_plan(n)
+            rec = reconstruct(plan)
+            for k, e_k in enumerate(np.eye(n)):
+                out = execute(plan, e_k, "dft", "exact")
+                assert np.array_equal(out.values, rec[:, k]), (n, k)
+
 
 class TestFixedMode:
     def test_table_dft_bit_exact(self, plan16):

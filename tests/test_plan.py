@@ -271,7 +271,8 @@ class TestBuildPlan:
             plan = build_plan(n)
             acc = {"re": np.zeros((n, n)), "im": np.zeros((n, n))}
             for s in plan.streams:
-                acc[s.dest] = acc[s.dest] + s.weight * s.factor.product()
+                weight = s.sign * (1.0 if s.value is None else s.value)
+                acc[s.dest] = acc[s.dest] + weight * s.factor.product()
             assert reconstruct(plan).tobytes() == (acc["re"] + 1j * acc["im"]).tobytes()
 
     def test_entry_16_1_1(self):
