@@ -45,20 +45,20 @@ def _read_samples(path) -> list[float]:
     return values
 
 
-def _format_values(result, fmt: str, select: TransformSelect):
+def _format_values(result, fmt: str):
     if fmt == "text":
-        if select is TransformSelect.DFT:
+        if result.select is TransformSelect.DFT:
             return [f"{v.real:g}{v.imag:+g}j" for v in result.values]
         return [f"{v:g}" for v in result.values]
     if fmt == "csv":
-        if select is TransformSelect.DFT:
+        if result.select is TransformSelect.DFT:
             return ["k,re,im"] + [f"{k},{v.real:.10g},{v.imag:.10g}"
                                   for k, v in enumerate(result.values)]
         return ["k,h"] + [f"{k},{v:.10g}" for k, v in enumerate(result.values)]
     if fmt == "hex":
         if result.real_raw is None:
             raise CliError("hex output requires fixed arithmetic")
-        return [format(w, "08X") for w in pack_output(result, select)]
+        return [format(w, "08X") for w in pack_output(result)]
     raise CliError(f"unknown output format {fmt!r}")
 
 
@@ -68,23 +68,21 @@ def _cmd_transform(args) -> int:
     if len(samples) != n:
         raise CliError(f"expected {n} samples, file holds {len(samples)}")
     plan = build_plan(n)
-    select = TransformSelect(args.select)
 
+    arith = "exact"
     if args.arith == "fixed":
-        cfg = FixedConfig(QFormat(16, args.frac_bits), args.round)
+        arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
         # probe every sample before paying for the transform
         for i, x in enumerate(samples):
             if not np.isfinite(x):
                 raise CliError(f"sample {i} = {x!r} is not a finite number")
             saturated = OverflowFlag()
-            quantize(x, cfg.fmt, cfg.rounding, saturated)
+            quantize(x, arith.fmt, arith.rounding, saturated)
             if saturated.overflow:
-                raise CliError(f"sample {i} = {x!r} is outside the {cfg.fmt} range")
-        result = execute(plan, samples, select, cfg)
-    else:
-        result = execute(plan, samples, select, "exact")
+                raise CliError(f"sample {i} = {x!r} is outside the {arith.fmt} range")
+    result = execute(plan, samples, args.select, arith)
 
-    lines = _format_values(result, args.format, select)
+    lines = _format_values(result, args.format)
     if args.output:
         with open(args.output, "w", encoding="ascii") as fh:
             fh.writelines(line + "\n" for line in lines)
@@ -92,7 +90,7 @@ def _cmd_transform(args) -> int:
         sys.stdout.writelines(line + "\n" for line in lines)
 
     if args.compare:
-        oracle = dft_direct(samples) if select is TransformSelect.DFT else dht_direct(samples)
+        oracle = (dft_direct if result.select is TransformSelect.DFT else dht_direct)(samples)
         deviation = float(np.max(np.abs(result.values - oracle)))
         print(f"max deviation vs direct transform: {deviation:.3e}")
     if result.overflow:

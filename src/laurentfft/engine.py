@@ -42,6 +42,10 @@ class TransformSelect(enum.Enum):
     DFT = "dft"
     DHT = "dht"
 
+    @classmethod
+    def _missing_(cls, value):  # a member's name in any case names it too
+        return cls.__members__.get(str(value).upper())
+
 
 @dataclass(frozen=True)
 class FixedConfig:
@@ -78,6 +82,8 @@ class TransformResult:
 
 
 def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
+    if np.iscomplexobj(samples):
+        raise ValueError("samples must be real")
     v = np.asarray(samples, dtype=np.float64)
     if v.ndim != 1 or v.size != plan.order:
         raise ValueError(f"signal length {v.shape} does not match plan order {plan.order}")
@@ -147,15 +153,15 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
 
 def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelect.DFT,
             arith="exact") -> TransformResult:
-    """Run the plan on a signal.
+    """Run the plan on a signal of real, finite samples.
 
-    arith is the string "exact" for double-precision evaluation or a
+    select is a TransformSelect or its name in any case; the result carries
+    it.  arith is the string "exact" for double-precision evaluation or a
     FixedConfig for bit-exact device arithmetic.  Fixed-mode overflow does
     not raise; the result carries the sticky flag and the caller decides.
     """
+    select = TransformSelect(select)
     v = _check_input(plan, samples)
-    if isinstance(select, str):
-        select = TransformSelect(select.lower())
     if arith == "exact":
         return _execute_exact(plan, v, select)
     if isinstance(arith, FixedConfig):
@@ -183,6 +189,7 @@ class QuantizationReport:
 def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = None,
                         select: TransformSelect = TransformSelect.DFT) -> QuantizationReport:
     """Maximum relative error of the fixed-point run against the exact run."""
+    select = TransformSelect(select)
     cfg = cfg or FixedConfig()
     exact = execute(plan, samples, select, "exact")
     fixed = execute(plan, samples, select, cfg)

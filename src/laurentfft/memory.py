@@ -55,22 +55,22 @@ def pack_output(spectrum, select: TransformSelect | None = None,
                 flags: OverflowFlag | None = None) -> tuple[int, ...]:
     """Pack a fixed-mode result into 32-bit output words.
 
-    Accepts a TransformResult from a fixed-mode run, or raw integers
-    directly: (real, imag) pairs for DFT, plain ints for DHT.  Raws beyond
-    16 bits saturate and mark the flags context when one is supplied.
+    Accepts a fixed-mode TransformResult, which carries its select, or raw
+    ints and a select (a TransformSelect or its name in any case): (re, im)
+    pairs for DFT, plain ints for DHT.  Raws beyond 16 bits saturate and
+    mark the flags context when one is supplied.
     """
     if isinstance(spectrum, TransformResult):
         if spectrum.real_raw is None:
             raise ValueError("packing is defined only for fixed-mode results")
-        select = select or spectrum.select
+        if select is not None and TransformSelect(select) is not spectrum.select:
+            raise ValueError(f"select {select} disagrees with the result's {spectrum.select}")
+        select = spectrum.select
+        pairs = spectrum.real_raw
         if select is TransformSelect.DFT:
-            pairs = list(zip(spectrum.real_raw, spectrum.imag_raw))
-        else:
-            pairs = list(spectrum.real_raw)
+            pairs = zip(pairs, spectrum.imag_raw)
     else:
-        if select is None:
-            raise ValueError("select is required when packing raw integers")
-        pairs = list(spectrum)
+        select, pairs = TransformSelect(select), spectrum
 
     words = []
     if select is TransformSelect.DFT:
@@ -84,7 +84,7 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
 def unpack_output(words, select: TransformSelect):
     """Inverse of pack_output: recover signed 16-bit raws."""
-    if select is TransformSelect.DFT:
+    if TransformSelect(select) is TransformSelect.DFT:
         return tuple((_sign_extend16(w >> 16), _sign_extend16(w)) for w in words)
     return tuple(_sign_extend16(w) for w in words)
 
@@ -100,7 +100,7 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
     samples = np.array(image.input_words, dtype=np.float64) / cfg.fmt.scale
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
-    words = pack_output(result, image.select, flags)
+    words = pack_output(result, flags=flags)
     return replace(image, output_words=words,
                    overflow=result.overflow or flags.overflow)
 
@@ -118,7 +118,7 @@ def load_stimulus(path) -> MemoryImage:
         raise StimulusFormatError(
             f"{path}:{header_no}: expected 'SELECT DFT' or 'SELECT DHT', got {header!r}"
         )
-    select = TransformSelect(parts[1].lower())
+    select = TransformSelect(parts[1])
     words = []
     for lineno, text in entries[1:]:
         try:
@@ -135,7 +135,7 @@ def load_stimulus(path) -> MemoryImage:
 
 def write_stimulus(image: MemoryImage, path):
     with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"SELECT {image.select.value.upper()}\n")
+        fh.write(f"SELECT {TransformSelect(image.select).value.upper()}\n")
         for raw in image.input_words:
             fh.write(format(raw & _WORD16, "04X") + "\n")
 

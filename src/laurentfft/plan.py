@@ -69,18 +69,13 @@ def _require_mod4(n: int):
         raise UnsupportedLengthError(f"block length must not exceed {MAX_ORDER}, got N={n}")
 
 
+@functools.lru_cache(maxsize=1)
 def exponent_matrix(n: int) -> np.ndarray:
-    """N x N matrix of DFT exponents k*n mod N."""
+    """N x N matrix of DFT exponents k*n mod N; read-only, kept for the last N."""
     if n < 1:
         raise ValueError("order must be positive")
     idx = np.arange(n)
-    return np.outer(idx, idx) % n
-
-
-@functools.lru_cache(maxsize=1)
-def _exponents(n: int) -> np.ndarray:
-    # build_M reads the exponent matrix for every class of one N in turn
-    e = exponent_matrix(n)
+    e = np.outer(idx, idx) % n
     e.setflags(write=False)
     return e
 
@@ -107,7 +102,8 @@ class GaussianIntegerMatrix:
     im: np.ndarray
 
     def __post_init__(self):
-        if not (np.abs(self.re) + np.abs(self.im) <= 1).all():
+        # |re| + |im| = max(|re + im|, |re - im|), without a third temporary
+        if not ((abs(self.re + self.im) <= 1) & (abs(self.re - self.im) <= 1)).all():
             raise PlanConstructionError("entries must be 0 or a unit (+-1, +-j)")
         self.re.setflags(write=False)
         self.im.setflags(write=False)
@@ -125,7 +121,7 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
     d = (np.arange(n) - m) % n
     # (-j)**unit for each residue of class C_m, -1 elsewhere; looked up per entry
     unit = np.where(d % step == 0, d // step, -1)
-    e = _exponents(n)
+    e = exponent_matrix(n)
     re = ((unit == 0).astype(np.int64) - (unit == 2))[e]
     im = ((unit == 3).astype(np.int64) - (unit == 1))[e]
     return GaussianIntegerMatrix(re, im)

@@ -14,6 +14,8 @@ import numpy as np
 
 
 def _as_signal(samples) -> np.ndarray:
+    if np.iscomplexobj(samples):
+        raise ValueError("samples must be real")
     v = np.asarray(samples, dtype=np.float64)
     if v.ndim != 1:
         raise ValueError("signal must be one-dimensional")

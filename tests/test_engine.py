@@ -144,6 +144,12 @@ class TestExactMode:
                 with pytest.raises(ValueError, match="sample 5 "):
                     execute(plan16, v, TransformSelect.DFT, arith)
 
+    def test_complex_samples_rejected(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v in (np.ones(16) * (1 + 1j), [1 + 0j] * 16):
+                with pytest.raises(ValueError, match="samples must be real"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
     def test_string_select_accepted(self, plan16):
         out = execute(plan16, RAMP2, "dht", "exact")
         assert out.select is TransformSelect.DHT

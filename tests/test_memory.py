@@ -13,6 +13,7 @@ from laurentfft import (
     execute,
     load_stimulus,
     pack_output,
+    quantization_report,
     read_output_words,
     run_device,
     unpack_output,
@@ -67,6 +68,12 @@ class TestPacking:
         raws = [int(x) for x in rng.integers(-32768, 32768, size=64)]
         for w in pack_output(raws, TransformSelect.DHT):
             assert w >> 16 == 0
+
+    def test_select_must_agree_with_result(self, plan16):
+        result = execute(plan16, np.array(RAMP2_RAWS) / 128.0, TransformSelect.DFT, FixedConfig())
+        with pytest.raises(ValueError, match="disagrees"):
+            pack_output(result, TransformSelect.DHT)
+        assert pack_output(result, "DFT") == pack_output(result) == DFT_WORDS
 
     def test_exact_mode_result_rejected(self, plan16):
         exact = execute(plan16, [0.0] * 16, TransformSelect.DFT, "exact")
@@ -156,3 +163,41 @@ class TestStimulusFiles:
         write_output_words(DFT_WORDS, path)
         assert read_output_words(path) == DFT_WORDS
         assert path.read_text().splitlines()[2] == "FC0009B0"
+
+
+# Every spelling of the select bit: the member, its value and its upper-case name.
+SPELLINGS = [(spelling, sel) for sel in TransformSelect
+             for spelling in (sel.value, sel.value.upper(), sel)]
+
+
+class TestSelectSpellings:
+    @pytest.mark.parametrize("spelling, sel", SPELLINGS, ids=str)
+    def test_same_output_as_the_member(self, plan16, tmp_path, spelling, sel):
+        x = np.array(RAMP2_RAWS) / 128.0
+        want = execute(plan16, x, sel, FixedConfig())
+        got = execute(plan16, x, spelling, FixedConfig())
+        assert got.select is sel
+        assert (got.real_raw, got.imag_raw) == (want.real_raw, want.imag_raw)
+        assert np.array_equal(execute(plan16, x, spelling, "exact").values,
+                              execute(plan16, x, sel, "exact").values)
+        assert quantization_report(plan16, x, None, spelling) == \
+            quantization_report(plan16, x, None, sel)
+
+        raws = want.real_raw if sel is TransformSelect.DHT else \
+            tuple(zip(want.real_raw, want.imag_raw))
+        words = pack_output(raws, spelling)
+        assert words == pack_output(want)
+        assert unpack_output(words, spelling) == raws
+
+        done = run_device(MemoryImage(RAMP2_RAWS, spelling), plan16)
+        assert done.output_words == pack_output(want)
+
+        path = tmp_path / "stim.txt"
+        write_stimulus(MemoryImage(RAMP2_RAWS, spelling), path)
+        assert load_stimulus(path) == MemoryImage(RAMP2_RAWS, sel)
+
+    def test_missing_select_rejected(self, plan16):
+        with pytest.raises(ValueError):
+            execute(plan16, [0.0] * 16, None)
+        with pytest.raises(ValueError):
+            pack_output([0] * 16)

@@ -31,6 +31,11 @@ class TestDftDirect:
         with pytest.raises(ValueError):
             dft_direct([])
 
+    @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
+    def test_complex_rejected(self, oracle):
+        with pytest.raises(ValueError, match="samples must be real"):
+            oracle(np.ones(4) * (1 + 1j))
+
     def test_any_positive_length_accepted(self):
         # the oracle is not restricted to N = 0 (mod 4)
         assert dft_direct([1.0, 2.0, 3.0]).shape == (3,)
