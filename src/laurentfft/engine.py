@@ -102,14 +102,14 @@ def _execute_exact(plan: LaurentPlan, v: np.ndarray, select: TransformSelect) ->
 
 def _rows_fixed(terms: RowTerms, vals: list[Fixed], zero: Fixed,
                 flags: OverflowFlag) -> list[Fixed]:
+    # Bound per call, not at import, so a wrapper on engine.fx_add or
+    # engine.fx_sub sees every op.
+    add, sub = fx_add, fx_sub
     out = []
     for row in terms:
         acc = zero
         for col, positive in row:
-            if positive:
-                acc = fx_add(acc, vals[col], flags)
-            else:
-                acc = fx_sub(acc, vals[col], flags)
+            acc = add(acc, vals[col], flags) if positive else sub(acc, vals[col], flags)
         out.append(acc)
     return out
 

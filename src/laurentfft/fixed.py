@@ -4,14 +4,15 @@ A value is an integer raw scaled by 2**frac_bits (Q notation: a 16-bit word
 with 7 fraction bits is Q8.7 -- one sign bit, eight integer bits, seven
 fraction bits).  All arithmetic is exact integer arithmetic with a single
 rounding at the end of a multiply, so results are bit-reproducible across
-runs and platforms.
+runs and platforms.  A Fixed is an immutable (raw, fmt) named tuple.
 """
 
 from __future__ import annotations
 
-import functools
+import math
+import operator
 from dataclasses import dataclass
-from fractions import Fraction
+from typing import NamedTuple
 
 ROUND_HALF_AWAY = "half-away"
 ROUND_HALF_EVEN = "half-even"
@@ -21,7 +22,8 @@ ROUNDING_MODES = (ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE)
 
 @dataclass(frozen=True)
 class QFormat:
-    """Word layout: total bits including sign, fraction bits."""
+    """Word layout: total bits including sign, fraction bits.  scale,
+    min_raw and max_raw are derived from them."""
 
     total_bits: int = 16
     frac_bits: int = 7
@@ -32,18 +34,11 @@ class QFormat:
                 "QFormat requires 1 <= frac_bits < total_bits <= 32, "
                 f"got total_bits={self.total_bits}, frac_bits={self.frac_bits}"
             )
-
-    @functools.cached_property
-    def scale(self) -> int:
-        return 1 << self.frac_bits
-
-    @functools.cached_property
-    def min_raw(self) -> int:
-        return -(1 << (self.total_bits - 1))
-
-    @functools.cached_property
-    def max_raw(self) -> int:
-        return (1 << (self.total_bits - 1)) - 1
+        # Derived bounds are plain attributes, not fields, so the saturating
+        # ops read them at instance-attribute speed.
+        object.__setattr__(self, "scale", 1 << self.frac_bits)
+        object.__setattr__(self, "min_raw", -(1 << (self.total_bits - 1)))
+        object.__setattr__(self, "max_raw", (1 << (self.total_bits - 1)) - 1)
 
     def widened(self, total_bits: int) -> "QFormat":
         return QFormat(total_bits, self.frac_bits)
@@ -63,8 +58,7 @@ class OverflowFlag:
         self.overflow = True
 
 
-@dataclass(frozen=True)
-class Fixed:
+class Fixed(NamedTuple):
     raw: int
     fmt: QFormat
 
@@ -115,10 +109,13 @@ def quantize(x, fmt: QFormat, rounding: str = ROUND_HALF_AWAY,
     value on the grid and raise ValueError.
     """
     try:
-        exact = Fraction(x) * fmt.scale
+        num, den = x.as_integer_ratio()  # in lowest terms, den > 0
+    except AttributeError:  # integers such as np.int64
+        num, den = operator.index(x), 1
     except (OverflowError, ValueError):
         raise ValueError(f"cannot quantize {x!r}: not a finite number") from None
-    raw = _div_round(exact.numerator, exact.denominator, rounding)
+    g = math.gcd(fmt.scale, den)  # (num * scale) / den in lowest terms
+    raw = _div_round(num * (fmt.scale // g), den // g, rounding)
     return Fixed(_saturate(raw, fmt, flags), fmt)
 
 
@@ -129,19 +126,28 @@ def widen(a: Fixed, total_bits: int) -> Fixed:
     return Fixed(a.raw, a.fmt.widened(total_bits))
 
 
-def _require_same_format(a: Fixed, b: Fixed):
-    if a.fmt is not b.fmt and a.fmt != b.fmt:
-        raise ValueError(f"format mismatch: {a.fmt} vs {b.fmt}")
-
-
+# fx_add and fx_sub are the hot path of the fixed executor: they unpack the
+# tuples, test the range inline and call _saturate only when it fails.
 def fx_add(a: Fixed, b: Fixed, flags: OverflowFlag | None = None) -> Fixed:
-    _require_same_format(a, b)
-    return Fixed(_saturate(a.raw + b.raw, a.fmt, flags), a.fmt)
+    raw, fmt = a
+    b_raw, b_fmt = b
+    if b_fmt is not fmt and b_fmt != fmt:
+        raise ValueError(f"format mismatch: {fmt} vs {b_fmt}")
+    raw += b_raw
+    if not fmt.min_raw <= raw <= fmt.max_raw:
+        raw = _saturate(raw, fmt, flags)
+    return tuple.__new__(Fixed, (raw, fmt))
 
 
 def fx_sub(a: Fixed, b: Fixed, flags: OverflowFlag | None = None) -> Fixed:
-    _require_same_format(a, b)
-    return Fixed(_saturate(a.raw - b.raw, a.fmt, flags), a.fmt)
+    raw, fmt = a
+    b_raw, b_fmt = b
+    if b_fmt is not fmt and b_fmt != fmt:
+        raise ValueError(f"format mismatch: {fmt} vs {b_fmt}")
+    raw -= b_raw
+    if not fmt.min_raw <= raw <= fmt.max_raw:
+        raw = _saturate(raw, fmt, flags)
+    return tuple.__new__(Fixed, (raw, fmt))
 
 
 def fx_mul(a: Fixed, b: Fixed, rounding: str = ROUND_HALF_AWAY,

@@ -101,7 +101,7 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
     words = pack_output(result, flags=flags)
-    return replace(image, output_words=words,
+    return replace(image, select=result.select, output_words=words,
                    overflow=result.overflow or flags.overflow)
 
 

@@ -283,6 +283,24 @@ class TestCountOps:
             execute(plan16, RAMP2, select, FixedConfig())
             assert calls["fx_add"] + calls["fx_sub"] == expected
 
+    @pytest.mark.parametrize("select, expected", [
+        (TransformSelect.DFT, {"fx_add": 2965, "fx_sub": 1813, "fx_mul": 224, "quantize": 79}),
+        (TransformSelect.DHT, {"fx_add": 2965, "fx_sub": 1877, "fx_mul": 224, "quantize": 79}),
+    ], ids=["dft", "dht"])
+    def test_op_sequence_at_order_64(self, monkeypatch, select, expected):
+        # Every scalar op is looked up on the engine module when it runs: a
+        # faster executor may not drop, add or import-bind any of them.
+        calls = Counter()
+        for name in expected:
+            def counted(*args, _op=getattr(engine, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _op(*args, **kwargs)
+            monkeypatch.setattr(engine, name, counted)
+        result = execute(build_plan(64), np.linspace(-250, 250, 64), select,
+                         FixedConfig(acc_total_bits=18))
+        assert dict(calls) == expected
+        assert result.overflow
+
     def test_order_4_is_multiplication_free(self):
         assert count_ops(build_plan(4)).multiplications == 0
 

@@ -84,6 +84,13 @@ class TestQuantize:
         assert quantize(-1000.0, Q16_7, flags=flags).raw == -32768
         assert flags.overflow
 
+    def test_numpy_int_is_exact(self):
+        # 2**62 * 2**15 overflows int64; the value must saturate, not wrap
+        flags = OverflowFlag()
+        assert quantize(np.int64(1 << 62), QFormat(32, 15), flags=flags).raw == (1 << 31) - 1
+        assert flags.overflow
+        assert quantize(np.int64(-3), Q16_7).raw == -384
+
     def test_non_finite_rejected(self):
         for x in (math.inf, -math.inf, math.nan):
             flags = OverflowFlag()
@@ -97,6 +104,25 @@ class TestQuantize:
         for x in rng.uniform(-255, 255, size=500):
             q = quantize(float(x), Q16_7)
             assert abs(q.value - x) <= bound + 1e-18
+
+
+class TestFixedValue:
+    def test_immutable(self):
+        x = Fixed(5, Q16_7)
+        with pytest.raises(AttributeError):
+            x.raw = 6
+        assert x.raw == 5
+
+    def test_equal_values_hash_equal(self):
+        a = fx_add(Fixed(2, Q16_7), Fixed(3, Q16_7))
+        b = Fixed(5, QFormat(16, 7))
+        assert a == b and a.fmt is not b.fmt
+        assert hash(a) == hash(b)
+        assert len({a, b, Fixed(5, QFormat(32, 7))}) == 2
+
+    def test_repr(self):
+        assert repr(Fixed(5, QFormat(16, 7))) == \
+            "Fixed(raw=5, fmt=QFormat(total_bits=16, frac_bits=7))"
 
 
 class TestAddSub:

@@ -191,6 +191,7 @@ class TestSelectSpellings:
 
         done = run_device(MemoryImage(RAMP2_RAWS, spelling), plan16)
         assert done.output_words == pack_output(want)
+        assert done.select is sel
 
         path = tmp_path / "stim.txt"
         write_stimulus(MemoryImage(RAMP2_RAWS, spelling), path)

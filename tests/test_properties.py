@@ -2,6 +2,7 @@
 of the exact executor, and the output-word packing round trip."""
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -73,11 +74,18 @@ def mul_operands(draw):
 @st.composite
 def quantize_inputs(draw):
     fmt = draw(FORMATS)
-    # exact grid ties, arbitrary doubles, and values far outside the range
+    # grid points and exact half-ulp ties, arbitrary doubles, values far
+    # outside the range, subnormals and signed zeros, numpy scalars and ints
     x = draw(st.one_of(
         st.integers(-(1 << 40), 1 << 40).map(lambda k: k / (2 * fmt.scale)),
+        st.integers(-(1 << 40), 1 << 40).map(lambda k: (2 * k + 1) / (2 * fmt.scale)),
         st.floats(allow_nan=False, allow_infinity=False),
         st.floats(-(2.0 ** 40), 2.0 ** 40),
+        st.floats(-sys.float_info.min, sys.float_info.min),
+        st.sampled_from([0.0, -0.0]),
+        st.floats(allow_nan=False, allow_infinity=False).map(np.float64),
+        st.integers(-(1 << 70), 1 << 70),
+        st.integers(-(1 << 63), (1 << 63) - 1).map(np.int64),
     ))
     return x, fmt
 
@@ -106,9 +114,11 @@ class TestFixedOpsAgainstFractionModel:
     @given(quantize_inputs(), MODES)
     def test_quantize(self, inputs, mode):
         x, fmt = inputs
+        # Fraction(np.int64) keeps numpy's wrapping int64 arithmetic
+        exact = Fraction(int(x)) if isinstance(x, np.integer) else Fraction(x)
         flags = OverflowFlag()
         _check(quantize(x, fmt, mode, flags), flags, fmt,
-               _round_model(Fraction(x) * fmt.scale, mode))
+               _round_model(exact * fmt.scale, mode))
 
 
 @pytest.fixture(scope="module")
