@@ -18,7 +18,7 @@ import numpy as np
 
 from .engine import FixedConfig, TransformSelect, execute
 from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
-from .memory import load_stimulus, pack_output, run_device, write_output_words
+from .memory import _overwrite_text, load_stimulus, pack_output, run_device, write_output_words
 from .plan import build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
 
@@ -62,6 +62,12 @@ def _format_values(result, fmt: str):
     raise CliError(f"unknown output format {fmt!r}")
 
 
+def _saturates(x: float, cfg: FixedConfig) -> bool:
+    flags = OverflowFlag()
+    quantize(x, cfg.fmt, cfg.rounding, flags)
+    return flags.overflow
+
+
 def _cmd_transform(args) -> int:
     samples = _read_samples(args.input)
     n = args.n if args.n is not None else len(samples)
@@ -72,20 +78,21 @@ def _cmd_transform(args) -> int:
     arith = "exact"
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
-        # probe every sample before paying for the transform
-        for i, x in enumerate(samples):
-            if not np.isfinite(x):
-                raise CliError(f"sample {i} = {x!r} is not a finite number")
-            saturated = OverflowFlag()
-            quantize(x, arith.fmt, arith.rounding, saturated)
-            if saturated.overflow:
-                raise CliError(f"sample {i} = {x!r} is outside the {arith.fmt} range")
+        # probe the samples before paying for the transform
+        finite = np.isfinite(samples)
+        if not finite.all():
+            i = int(np.argmin(finite))
+            raise CliError(f"sample {i} = {samples[i]!r} is not a finite number")
+        # quantize is monotone in x, so no sample saturates unless the
+        # smallest or the largest does; only then scan for the first one
+        if _saturates(min(samples), arith) or _saturates(max(samples), arith):
+            i = next(i for i, x in enumerate(samples) if _saturates(x, arith))
+            raise CliError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
     result = execute(plan, samples, args.select, arith)
 
     lines = _format_values(result, args.format)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.writelines(line + "\n" for line in lines)
+        _overwrite_text(args.output, "".join(line + "\n" for line in lines))
     else:
         sys.stdout.writelines(line + "\n" for line in lines)
 

@@ -11,11 +11,15 @@ isolates arithmetic bugs from memory-layout bugs.
 
 Testbench interchange files are plain text, one hex word per line:
 stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
-followed by 16-bit input words; output files hold 32-bit words.
+followed by 16-bit input words; output files hold 32-bit words.  The
+writers overwrite an existing file in place rather than truncating it to
+zero first (see _overwrite_text), and fsync nothing.
 """
 
 from __future__ import annotations
 
+import os
+import stat
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -34,12 +38,26 @@ class StimulusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MemoryImage:
-    """Value snapshot of the device memory."""
+    """Value snapshot of the device memory.
+
+    Input words must lie in signed 16-bit range (ValueError names the first
+    that does not); select is stored as a TransformSelect, whatever its
+    spelling.
+    """
 
     input_words: tuple[int, ...]
     select: TransformSelect
     output_words: tuple[int, ...] | None = None
     overflow: bool = False
+
+    def __post_init__(self):
+        # a word outside int16 would be masked on its way to a stimulus file
+        # and read back as a different input than the model ran
+        words, lo, hi = self.input_words, _HALF_WORD.min_raw, _HALF_WORD.max_raw
+        if min(words, default=0) < lo or max(words, default=0) > hi:
+            i = next(i for i, w in enumerate(words) if not lo <= w <= hi)
+            raise ValueError(f"input word {i} = {words[i]} is outside signed 16-bit [{lo}, {hi}]")
+        object.__setattr__(self, "select", TransformSelect(self.select))
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
@@ -101,8 +119,7 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
     words = pack_output(result, flags=flags)
-    return replace(image, select=result.select, output_words=words,
-                   overflow=result.overflow or flags.overflow)
+    return replace(image, output_words=words, overflow=result.overflow or flags.overflow)
 
 
 def load_stimulus(path) -> MemoryImage:
@@ -133,17 +150,32 @@ def load_stimulus(path) -> MemoryImage:
     return MemoryImage(tuple(words), select)
 
 
+def _overwrite_text(path, text: str) -> None:
+    """Write text to path, overwriting the file in place.
+
+    Same bytes, inode, permission bits and symlink target as
+    open(path, "w"), and a new file gets 0o666 & ~umask as it would there.
+    The file is not truncated to zero on open: ext4 (auto_da_alloc) starts
+    writeback at close() of a non-empty file that was truncated to zero and
+    rewritten, and that implicit flush is all this drops; there is no fsync
+    either way.  Only a regular file is then cut to the new length, since
+    ftruncate fails on /dev/null (EINVAL) and on pipes and FIFOs (ESPIPE).
+    """
+    data = text.encode("ascii")
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    with open(fd, "wb") as fh:
+        fh.write(data)
+        if stat.S_ISREG(os.fstat(fd).st_mode):
+            fh.truncate()
+
+
 def write_stimulus(image: MemoryImage, path):
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write(f"SELECT {TransformSelect(image.select).value.upper()}\n")
-        for raw in image.input_words:
-            fh.write(format(raw & _WORD16, "04X") + "\n")
+    _overwrite_text(path, f"SELECT {image.select.value.upper()}\n" +
+                    "".join(format(raw & _WORD16, "04X") + "\n" for raw in image.input_words))
 
 
 def write_output_words(words, path):
-    with open(path, "w", encoding="ascii") as fh:
-        for w in words:
-            fh.write(format(w & 0xFFFFFFFF, "08X") + "\n")
+    _overwrite_text(path, "".join(format(w & 0xFFFFFFFF, "08X") + "\n" for w in words))
 
 
 def read_output_words(path) -> tuple[int, ...]:

@@ -1,11 +1,13 @@
 """Command-line behavior, exercised through main() for real exit codes."""
 
+import os
+
 import numpy as np
 import pytest
 
 from laurentfft import cli
 from laurentfft.cli import main
-from laurentfft.fixed import ROUNDING_MODES
+from laurentfft.fixed import ROUNDING_MODES, quantize
 from laurentfft.plan import MAX_ORDER
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7] * 2
@@ -105,6 +107,27 @@ class TestTransform:
         assert code == 1
         assert out == ""
         assert err.splitlines() == ["error: sample 3 = 999.0 is outside the Q8.7 range"]
+
+    def test_first_of_two_out_of_range_samples_named(self, capsys, tmp_path):
+        path = tmp_path / "big2.csv"
+        path.write_text("0\n-999\n2\n999\n" + "0\n" * 12)
+        code, _, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                               "--input", str(path))
+        assert code == 1
+        assert err.splitlines() == ["error: sample 1 = -999.0 is outside the Q8.7 range"]
+
+    def test_range_probe_quantizes_only_the_extremes(self, capsys, ramp_file, monkeypatch):
+        calls = []
+
+        def counting_quantize(*args, **kwargs):
+            calls.append(args[0])
+            return quantize(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "quantize", counting_quantize)
+        code, _, _ = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                             "--input", str(ramp_file))
+        assert code == 0
+        assert calls == [min(RAMP2), max(RAMP2)]
 
     @pytest.mark.parametrize("rounding", ROUNDING_MODES)
     def test_small_sample_in_range(self, capsys, tmp_path, rounding):
@@ -235,3 +258,19 @@ class TestTestbench:
         run_cli(capsys, "testbench", str(stim), "--output", str(a))
         run_cli(capsys, "testbench", str(stim), "--output", str(b))
         assert a.read_bytes() == b.read_bytes()
+
+        # a rerun into a path holding a longer file leaves no stale tail
+        c = tmp_path / "c.hex"
+        c.write_text("F" * 4096 + "\n")
+        run_cli(capsys, "testbench", str(stim), "--output", str(c))
+        assert c.read_bytes() == a.read_bytes()
+
+    def test_output_to_dev_null(self, capsys, tmp_path, ramp_file):
+        stim = tmp_path / "stim.txt"
+        stim.write_text("\n".join(STIM_LINES) + "\n")
+        code, _, err = run_cli(capsys, "testbench", str(stim), "--output", os.devnull)
+        assert code == 0 and err == ""
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                                 "--format", "hex", "--input", str(ramp_file),
+                                 "--output", os.devnull)
+        assert (code, out, err) == (0, "", "")

@@ -1,5 +1,9 @@
 """Memory model: word packing, device runs, and testbench files."""
 
+import os
+import stat
+import threading
+
 import numpy as np
 import pytest
 
@@ -163,6 +167,83 @@ class TestStimulusFiles:
         write_output_words(DFT_WORDS, path)
         assert read_output_words(path) == DFT_WORDS
         assert path.read_text().splitlines()[2] == "FC0009B0"
+
+
+class TestImageValidation:
+    # masked to 16 bits, 70000 would be written as 1170 (read back 4464)
+    # and 0xFC00 would read back as -1024
+    @pytest.mark.parametrize("bad, index", [(70000, 0), (0xFC00, 5), (-32769, 15)])
+    def test_word_outside_int16_names_its_index(self, bad, index):
+        words = [0] * 16
+        words[index] = bad
+        with pytest.raises(ValueError, match=rf"input word {index} = {bad} "):
+            MemoryImage(tuple(words), TransformSelect.DFT)
+
+    def test_first_bad_word_is_named(self):
+        with pytest.raises(ValueError, match=r"input word 2 = 40000 "):
+            MemoryImage((0, 1, 40000, -40000), TransformSelect.DHT)
+
+    def test_string_select_stored_as_member(self):
+        assert MemoryImage((0,) * 16, "dht").select is TransformSelect.DHT
+        with pytest.raises(ValueError):
+            MemoryImage((0,) * 16, "fft")
+
+
+WRITERS = [
+    pytest.param(lambda path: write_stimulus(MemoryImage(RAMP2_RAWS, TransformSelect.DFT), path),
+                 id="write_stimulus"),
+    pytest.param(lambda path: write_output_words(DFT_WORDS, path), id="write_output_words"),
+]
+
+
+def fresh_bytes(tmp_path, write):
+    path = tmp_path / "fresh"
+    write(path)
+    return path.read_bytes()
+
+
+@pytest.mark.parametrize("write", WRITERS)
+class TestInPlaceWriters:
+    def test_new_file_mode_follows_umask(self, tmp_path, write):
+        mask = os.umask(0o022)
+        try:
+            write(tmp_path / "new")
+        finally:
+            os.umask(mask)
+        assert stat.S_IMODE((tmp_path / "new").stat().st_mode) == 0o644
+
+    def test_rewrite_keeps_inode_and_mode_and_drops_stale_tail(self, tmp_path, write):
+        path = tmp_path / "old"
+        path.write_text("X" * 4096)
+        path.chmod(0o600)
+        inode = path.stat().st_ino
+        write(path)
+        assert path.stat().st_ino == inode
+        assert stat.S_IMODE(path.stat().st_mode) == 0o600
+        assert path.read_bytes() == fresh_bytes(tmp_path, write)
+
+    def test_symlink_kept_and_target_rewritten(self, tmp_path, write):
+        target, link = tmp_path / "target", tmp_path / "link"
+        target.write_text("X" * 4096)
+        link.symlink_to(target)
+        write(link)
+        assert link.is_symlink() and os.readlink(link) == str(target)
+        assert target.read_bytes() == fresh_bytes(tmp_path, write)
+
+    def test_dev_null(self, write):
+        write(os.devnull)
+
+    def test_fifo(self, tmp_path, write):
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()),
+                                  daemon=True)
+        reader.start()
+        write(fifo)
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == [fresh_bytes(tmp_path, write)]
 
 
 # Every spelling of the select bit: the member, its value and its upper-case name.
