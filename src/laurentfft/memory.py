@@ -11,9 +11,11 @@ isolates arithmetic bugs from memory-layout bugs.
 
 Testbench interchange files are plain text, one hex word per line:
 stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
-followed by 16-bit input words; output files hold 32-bit words.  The
-writers overwrite an existing file in place rather than truncating it to
-zero first (see _overwrite_text), and fsync nothing.
+followed by 16-bit input words; output files hold 32-bit words.  A word
+is 1-4 (stimulus) or 1-8 (output) hex digits in either case, with no sign,
+prefix or separator, and a reader names path:line of the first that is
+not.  The writers overwrite an existing file in place rather than
+truncating it to zero first (see _overwrite_text), and fsync nothing.
 """
 
 from __future__ import annotations
@@ -29,11 +31,13 @@ from .fixed import OverflowFlag, QFormat, _saturate
 from .plan import LaurentPlan
 
 _WORD16 = 0xFFFF
+_WORD32 = 0xFFFFFFFF
+_HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
 
 
 class StimulusFormatError(ValueError):
-    """Malformed testbench stimulus file."""
+    """Malformed testbench interchange file: a stimulus or an output word file."""
 
 
 @dataclass(frozen=True)
@@ -101,8 +105,13 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
 
 def unpack_output(words, select: TransformSelect):
-    """Inverse of pack_output: recover signed 16-bit raws."""
-    if TransformSelect(select) is TransformSelect.DFT:
+    """Inverse of pack_output: recover signed 16-bit raws.  A word outside
+    [0, 2**32) raises ValueError naming its index."""
+    select, words = TransformSelect(select), tuple(words)
+    if min(words, default=0) < 0 or max(words, default=0) > _WORD32:
+        i = next(i for i, w in enumerate(words) if not 0 <= w <= _WORD32)
+        raise ValueError(f"output word {i} = {words[i]} is outside 32 bits [0, 2**32)")
+    if select is TransformSelect.DFT:
         return tuple((_sign_extend16(w >> 16), _sign_extend16(w)) for w in words)
     return tuple(_sign_extend16(w) for w in words)
 
@@ -122,6 +131,16 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
     return replace(image, output_words=words, overflow=result.overflow or flags.overflow)
 
 
+def _hex_word(path, lineno: int, text: str, digits: int) -> int:
+    # int(text, 16) alone would also take a sign, a 0x prefix, underscores
+    # and any number of digits
+    if len(text) > digits or not _HEX_DIGITS.issuperset(text):
+        raise StimulusFormatError(
+            f"{path}:{lineno}: malformed hex word {text!r} (expected 1 to {digits} hex digits)"
+        )
+    return int(text, 16)
+
+
 def load_stimulus(path) -> MemoryImage:
     """Read a stimulus file: SELECT header plus one 16-bit hex word per line."""
     with open(path, "r", encoding="ascii") as fh:
@@ -136,15 +155,7 @@ def load_stimulus(path) -> MemoryImage:
             f"{path}:{header_no}: expected 'SELECT DFT' or 'SELECT DHT', got {header!r}"
         )
     select = TransformSelect(parts[1])
-    words = []
-    for lineno, text in entries[1:]:
-        try:
-            value = int(text, 16)
-        except ValueError:
-            raise StimulusFormatError(f"{path}:{lineno}: malformed hex word {text!r}") from None
-        if not 0 <= value <= _WORD16:
-            raise StimulusFormatError(f"{path}:{lineno}: word {text!r} exceeds 16 bits")
-        words.append(_sign_extend16(value))
+    words = [_sign_extend16(_hex_word(path, lineno, text, 4)) for lineno, text in entries[1:]]
     if not words:
         raise StimulusFormatError(f"{path}: stimulus contains no input words")
     return MemoryImage(tuple(words), select)
@@ -179,6 +190,7 @@ def write_output_words(words, path):
 
 
 def read_output_words(path) -> tuple[int, ...]:
+    """Read an output word file: one 32-bit hex word per line, blank lines skipped."""
     with open(path, "r", encoding="ascii") as fh:
         lines = [line.strip() for line in fh.read().splitlines()]
-    return tuple(int(text, 16) for text in lines if text)
+    return tuple(_hex_word(path, i + 1, text, 8) for i, text in enumerate(lines) if text)

@@ -42,9 +42,11 @@ from .reference import dft_matrix
 
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
-# fails at once instead of building for long.  On one CPU of a 2-vCPU
-# machine build_plan(256) takes 0.30 s at 54 MB peak RSS and build_plan(512)
-# 2.6 s at 183 MB; the time grows 7-9x and the memory 3.4x each time N doubles.
+# fails at once instead of building for long.  On one CPU of a 2-vCPU Xeon
+# machine (Python 3.11, numpy 2.4), build_plan(256) takes 0.14-0.25 s at 54 MB
+# peak RSS and build_plan(512) 1.4-2.1 s at 184 MB, the spread following the
+# machine's load; the time grows about 9x and the memory 3.4x each time N
+# doubles.
 MAX_ORDER = 512
 # Each row's nonzero entries of a ternary matrix as (column, positive) pairs.
 RowTerms = tuple[tuple[tuple[int, bool], ...], ...]
@@ -141,14 +143,19 @@ def _as_ternary(mat: np.ndarray) -> np.ndarray:
 class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
-    rank is the inner dimension, i.e. how many intermediate values a scalar
-    weight must multiply: one per group of columns of T that are equal up
-    to sign.  At rank 0 the factors are (rows, 0) and (0, cols) arrays, so
-    every product with them is a correctly shaped zero.  optimal is True
-    when the combiner columns are linearly independent, so that rank is the
-    rational rank of T; otherwise rank exceeds it.  reduced_terms and
-    combiner_terms list each row's nonzero entries; they are computed on
-    first use, so building a plan does not pay for them.
+    Both factors are stored as read-only float64 copies whose entries are
+    exactly -1, 0 and +1: float64 is the dtype the float pass multiplies in
+    (exact mode and reconstruct), so no call converts them again.  Every
+    product of them is a small integer and exact in float64; product()
+    returns T as int64.  rank is the inner dimension, i.e. how many
+    intermediate values a scalar weight must multiply: one per group of
+    columns of T that are equal up to sign.  At rank 0 the factors are
+    (rows, 0) and (0, cols) arrays, so every product with them is a
+    correctly shaped zero.  optimal is True when the combiner columns are
+    linearly independent, so that rank is the rational rank of T; otherwise
+    rank exceeds it.  reduced_terms and combiner_terms list each row's
+    nonzero entries; they are computed on first use, so building a plan
+    does not pay for them.
     """
 
     combiner: np.ndarray
@@ -157,11 +164,13 @@ class FactoredTernary:
     optimal: bool = True
 
     def __post_init__(self):
-        self.combiner.setflags(write=False)
-        self.reduced_rows.setflags(write=False)
+        for name in ("combiner", "reduced_rows"):
+            mat = np.array(getattr(self, name), dtype=np.float64, order="C")
+            mat.setflags(write=False)
+            object.__setattr__(self, name, mat)
 
     def product(self) -> np.ndarray:
-        return self.combiner @ self.reduced_rows
+        return (self.combiner @ self.reduced_rows).astype(np.int64)
 
     @functools.cached_property
     def reduced_terms(self) -> RowTerms:
@@ -182,18 +191,25 @@ def _row_terms(mat: np.ndarray) -> RowTerms:
 def _independent_columns(mat: np.ndarray) -> bool:
     """True if the integer columns are linearly independent.
 
-    A column that is the only nonzero in some row has a zero coefficient in
-    every vanishing combination of the columns, so it is peeled off; peeling
-    repeats until no such column is left.  The rest are reduced by Gaussian
-    elimination modulo _PRIME: independence modulo a prime implies
-    independence over the rationals, and peeling is exact over both.
+    Entries of any dtype are taken as int64 (so the arithmetic below is
+    exact); a non-integral entry raises ValueError.  A column that is the
+    only nonzero in some row has a zero coefficient in every vanishing
+    combination of the columns, so it is peeled off; peeling repeats until
+    no such column is left.  The rest are reduced by Gaussian elimination
+    modulo _PRIME: independence modulo a prime implies independence over
+    the rationals, and peeling is exact over both.
     """
-    live = mat != 0
-    keep = np.ones(mat.shape[1], dtype=bool)
+    values = np.asarray(mat)
+    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test below
+        ints = values.astype(np.int64)
+    if not (ints == values).all():
+        raise ValueError("columns must have integer entries")
+    live = ints != 0
+    keep = np.ones(ints.shape[1], dtype=bool)
     while (peel := live[live.sum(axis=1) == 1].any(axis=0)).any():
         live[:, peel] = False
         keep &= ~peel
-    a = mat[:, keep] % _PRIME
+    a = ints[:, keep] % _PRIME
     for j in range(a.shape[1]):
         nonzero = np.flatnonzero(a[j:, j])
         if nonzero.size == 0:
@@ -214,6 +230,8 @@ def echelon_factor(mat) -> FactoredTernary:
     holds the first (pivot) column of each group; the group's reduced row is
     +1 at the pivot and, at every other member, that member's sign relative
     to the pivot, so every column of reduced_rows has at most one nonzero.
+    Grouping, the reproduction check and the independence test run on the
+    integer matrix; FactoredTernary then stores the factors as float64.
     The product reproduces the input exactly.  When the pivot columns are
     independent the reduced rows are the reduced row-echelon form and rank
     is the rational rank.  A matrix whose distinct columns are dependent,
@@ -229,7 +247,7 @@ def echelon_factor(mat) -> FactoredTernary:
     keys = np.ascontiguousarray((sub * lead).T, dtype=np.int8)
     g = np.array([groups.setdefault(k.tobytes(), len(groups)) for k in keys], dtype=np.intp)
     first = np.unique(g, return_index=True)[1]
-    combiner = sub[:, first].copy()
+    combiner = sub[:, first]
     sign = lead * lead[first][g]
     if not (combiner[:, g] * sign == sub).all():
         raise PlanConstructionError("column grouping failed to reproduce the matrix")
@@ -330,7 +348,7 @@ def reconstruct(plan: LaurentPlan) -> np.ndarray:
     """The complex matrix the plan represents: exact mode's float pass fed with
     reduced_rows @ I, so build_plan's self-check runs exact mode's arithmetic.
     A reduced_rows column has at most one nonzero, so each entry is one product."""
-    re, im = _merge_streams(plan, (s.factor.reduced_rows.astype(float) for s in plan.streams))
+    re, im = _merge_streams(plan, (s.factor.reduced_rows for s in plan.streams))
     return re + 1j * im
 
 

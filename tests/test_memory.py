@@ -1,6 +1,7 @@
 """Memory model: word packing, device runs, and testbench files."""
 
 import os
+import re
 import stat
 import threading
 
@@ -55,6 +56,14 @@ class TestPacking:
     def test_unpack_inverts(self):
         assert unpack_output([0xFC0009B0], TransformSelect.DFT) == ((-1024, 2480),)
         assert unpack_output([0x0000F250], TransformSelect.DHT) == (-3504,)
+
+    @pytest.mark.parametrize("select", list(TransformSelect))
+    @pytest.mark.parametrize("bad, index", [(2**32, 1), (-1, 0), (8589934591, 2)])
+    def test_unpack_rejects_word_outside_32_bits(self, bad, index, select):
+        words = [0, 0, 0]
+        words[index] = bad
+        with pytest.raises(ValueError, match=rf"output word {index} = {bad} is outside 32 bits"):
+            unpack_output(words, select)
 
     def test_round_trip_random_raws(self):
         rng = np.random.default_rng(51)
@@ -167,6 +176,33 @@ class TestStimulusFiles:
         write_output_words(DFT_WORDS, path)
         assert read_output_words(path) == DFT_WORDS
         assert path.read_text().splitlines()[2] == "FC0009B0"
+
+    @pytest.mark.parametrize("word", ["-1", "+7", "0x10", "1_0", "10000", "G123", "00 01"])
+    def test_stimulus_word_not_1_to_4_hex_digits_names_line(self, tmp_path, word):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"SELECT DFT\n0000\n\n{word}\n")
+        message = rf"bad.txt:4: malformed hex word '{re.escape(word)}'"
+        with pytest.raises(StimulusFormatError, match=message):
+            load_stimulus(path)
+
+    def test_stimulus_words_in_either_case_and_short(self, tmp_path):
+        path = tmp_path / "stim.txt"
+        path.write_text("select dht\nfc00\nFC00\n7\n 80 \n")
+        assert load_stimulus(path).input_words == (-1024, -1024, 7, 128)
+
+    # 1FFFFFFFF used to read as 8589934591 and unpack to (-1, -1) unnoticed
+    @pytest.mark.parametrize("word", ["1FFFFFFFF", "-1", "+7", "0x10", "1_0", "ZZ"])
+    def test_output_word_not_1_to_8_hex_digits_names_line(self, tmp_path, word):
+        path = tmp_path / "words.hex"
+        path.write_text(f"00000000\n\n{word}\n")
+        message = rf"words.hex:3: malformed hex word '{re.escape(word)}'"
+        with pytest.raises(StimulusFormatError, match=message):
+            read_output_words(path)
+
+    def test_output_words_in_either_case_and_short(self, tmp_path):
+        path = tmp_path / "words.hex"
+        path.write_text("fc0009b0\nFC0009B0\n7\n\n ffffffff \n")
+        assert read_output_words(path) == (0xFC0009B0, 0xFC0009B0, 7, 0xFFFFFFFF)
 
 
 class TestImageValidation:

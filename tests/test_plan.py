@@ -201,22 +201,36 @@ class TestEchelonFactor:
                 assert (r[:, pivots] == np.eye(len(pivots), dtype=int)).all()
 
 
+_INDEPENDENCE_CASES = [
+    # peeling alone: row 0 peels column 0, then row 1 column 1, then column 2
+    ("peeled", [[1, 0, 0], [1, 1, 0], [-1, 1, 1]], True),
+    # every row has two nonzeros, so nothing peels; column 2 = column 0 + column 1
+    ("dependent", [[1, 0, 1], [0, 1, 1]], False),
+    # rows 3 and 4 peel columns 3 and 4; column 2 = column 0 - column 1 remains
+    ("dependent-core", [[1, 0, 1, 1, 0], [0, 1, -1, 0, 1], [1, 1, 0, 1, 1],
+                        [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], False),
+    # row 3 peels column 3; the 3 x 3 core left has determinant 2
+    ("independent-core", [[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1]], True),
+    # full rank (determinant about 1.09e9): elimination modulo the prime is
+    # exact only on integers, and a float64 copy of the entries must say the same
+    ("random-24", np.random.default_rng(1).integers(-1, 2, (24, 24)).tolist(), True),
+]
+
+
 class TestIndependentColumns:
     @pytest.mark.parametrize("mat, independent", [
-        # peeling alone: row 0 peels column 0, then row 1 column 1, then column 2
-        ([[1, 0, 0], [1, 1, 0], [-1, 1, 1]], True),
-        # every row has two nonzeros, so nothing peels; column 2 = column 0 + column 1
-        ([[1, 0, 1], [0, 1, 1]], False),
-        # rows 3 and 4 peel columns 3 and 4; column 2 = column 0 - column 1 remains
-        ([[1, 0, 1, 1, 0], [0, 1, -1, 0, 1], [1, 1, 0, 1, 1],
-          [0, 0, 0, 1, 0], [0, 0, 0, 0, 1]], False),
-        # row 3 peels column 3; the 3 x 3 core left has determinant 2
-        ([[1, 1, 0, 1], [0, 1, 1, 0], [1, 0, 1, 1], [0, 0, 0, 1]], True),
-    ], ids=["peeled", "dependent", "dependent-core", "independent-core"])
+        pytest.param(np.array(mat, dtype=dtype), independent,
+                     id=name if dtype is np.int64 else f"{name}-float64")
+        for dtype in (np.int64, np.float64) for name, mat, independent in _INDEPENDENCE_CASES
+    ])
     def test_against_rank_oracle(self, rank_gauss, mat, independent):
-        mat = np.array(mat)
         assert _independent_columns(mat) == independent
         assert independent == (rank_gauss(mat) == mat.shape[1])
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, 1e30])
+    def test_non_integral_entries_rejected(self, bad):
+        with pytest.raises(ValueError, match="integer entries"):
+            _independent_columns(np.array([[1.0, 0.0], [0.0, bad]]))
 
 
 class TestBuildPlan:
@@ -314,12 +328,20 @@ class TestBuildPlan:
                     assert np.array_equal(rebuilt, mat), (n, s.label)
 
     def test_plan_matrices_are_read_only(self):
-        plan = build_plan(8)
-        for s in plan.streams:
-            with pytest.raises(ValueError):
-                s.factor.combiner[0, 0] = 5
-            with pytest.raises(ValueError):
-                s.factor.reduced_rows[0, 0] = 5
+        # the storage contract: read-only float64 factors with ternary entries,
+        # one nonzero at most per reduced_rows column, and an int64 product
+        for n in [*range(4, 129, 4), 256]:
+            for s in build_plan(n).streams:
+                f = s.factor
+                for mat in (f.combiner, f.reduced_rows):
+                    assert mat.dtype == np.float64 and not mat.flags.writeable, (n, s.label)
+                    assert np.isin(mat, (-1, 0, 1)).all(), (n, s.label)
+                    with pytest.raises(ValueError):
+                        mat[0, 0] = 5
+                assert (np.count_nonzero(f.reduced_rows, axis=0) <= 1).all(), (n, s.label)
+                t = f.product()
+                assert t.dtype == np.int64
+                assert np.array_equal(t, f.combiner @ f.reduced_rows), (n, s.label)
 
 
 class TestFormatPlan:
