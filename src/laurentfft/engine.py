@@ -3,11 +3,12 @@
 Each stream of the plan is applied as combiner @ (scalar * (reduced_rows @ v)):
 the reduced rows cost additions, the scalar costs rank-many multiplications
 (none for the unweighted streams), the combiner costs additions again, and
-the result is added to or subtracted from its output accumulator in stream
-order; exact mode runs that pass in doubles, as reconstruct does.  A select
-bit chooses Fourier output (Re, Im) or Hartley output (Re - Im).  In fixed
-mode every operation is saturating Q-format integer arithmetic: 16-bit
-inputs and constants, 32-bit accumulators.
+plan._merge_streams, the one merge rule, adds the result to or subtracts it
+from its output accumulator in stream order.  Exact mode runs the pass in
+doubles through plan._float_pass, as reconstruct does; fixed mode merges with
+fx_add and fx_sub.  A select bit chooses Fourier output (Re, Im) or Hartley
+output (Re - Im).  In fixed mode every operation is saturating Q-format
+integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
 Each row of a factor is accumulated over its nonzero terms only, in
 increasing column order; like the stream order, that order decides where a
 narrow accumulator saturates, so it is part of the bit-exact result.
@@ -33,7 +34,7 @@ from .fixed import (
     fx_sub,
     quantize,
 )
-from .plan import LaurentPlan, OpCount, RowTerms, _merge_streams, count_ops  # noqa: F401
+from .plan import LaurentPlan, OpCount, RowTerms, _float_pass, _merge_streams, count_ops  # noqa
 
 FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport
 
@@ -59,12 +60,11 @@ class FixedConfig:
     def __post_init__(self):
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
-        if self.acc_total_bits < self.fmt.total_bits:
-            raise ValueError("accumulator must be at least as wide as the input word")
-
-    @property
-    def acc_fmt(self) -> QFormat:
-        return self.fmt.widened(self.acc_total_bits)
+        if not self.fmt.total_bits <= self.acc_total_bits <= 32:
+            raise ValueError(f"accumulator width must lie between the input word's "
+                             f"{self.fmt.total_bits} bits and 32, got {self.acc_total_bits}")
+        # built once, like QFormat's bounds: the scalar ops' format checks are identity tests
+        object.__setattr__(self, "acc_fmt", self.fmt.widened(self.acc_total_bits))
 
 
 @dataclass(frozen=True)
@@ -93,13 +93,6 @@ def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
     return v
 
 
-def _execute_exact(plan: LaurentPlan, v: np.ndarray, select: TransformSelect) -> TransformResult:
-    re, im = _merge_streams(plan, (s.factor.reduced_rows @ v for s in plan.streams))
-    if select is TransformSelect.DHT:
-        return TransformResult(select, re - im)
-    return TransformResult(select, re + 1j * im)
-
-
 def _rows_fixed(terms: RowTerms, vals: list[Fixed], zero: Fixed,
                 flags: OverflowFlag) -> list[Fixed]:
     # Bound per call, not at import, so a wrapper on engine.fx_add or
@@ -117,29 +110,22 @@ def _rows_fixed(terms: RowTerms, vals: list[Fixed], zero: Fixed,
 def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
     flags = OverflowFlag()
-    # One accumulator format object per run, shared by every operand, so the
-    # format checks in the scalar ops are identity tests.
-    acc_fmt = cfg.acc_fmt
-    zero = Fixed(0, acc_fmt)
-    x = [Fixed(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v]
+    zero = Fixed(0, cfg.acc_fmt)
+    x = [Fixed(quantize(s, cfg.fmt, cfg.rounding, flags).raw, cfg.acc_fmt) for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
     rom = {c: quantize(c, cfg.fmt, cfg.rounding, flags)
            for c in dict.fromkeys(s.value for s in plan.streams) if c is not None}
 
-    # The first stream into each accumulator (an unweighted one, sign +1)
-    # becomes its contents; every later stream is added or subtracted.
-    acc: dict[str, list[Fixed]] = {}
-    for s in plan.streams:
-        u = _rows_fixed(s.factor.reduced_terms, x, zero, flags)
-        if s.value is not None:
-            u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
-        y = _rows_fixed(s.factor.combiner_terms, u, zero, flags)
-        if s.dest not in acc:
-            acc[s.dest] = y
-            continue
-        merge = fx_add if s.sign > 0 else fx_sub
-        acc[s.dest] = [merge(a, b, flags) for a, b in zip(acc[s.dest], y)]
-    re, im = acc["re"], acc["im"]
+    def outputs():
+        for s in plan.streams:
+            u = _rows_fixed(s.factor.reduced_terms, x, zero, flags)
+            if s.value is not None:
+                u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
+            yield _rows_fixed(s.factor.combiner_terms, u, zero, flags)
+
+    re, im = _merge_streams(plan, outputs(),
+                            lambda a, b: [fx_add(p, q, flags) for p, q in zip(a, b)],
+                            lambda a, b: [fx_sub(p, q, flags) for p, q in zip(a, b)])
 
     if select is TransformSelect.DHT:
         h = [fx_sub(a, b, flags) for a, b in zip(re, im)]
@@ -163,7 +149,8 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     select = TransformSelect(select)
     v = _check_input(plan, samples)
     if arith == "exact":
-        return _execute_exact(plan, v, select)
+        re, im = _float_pass(plan, lambda rows: rows @ v)
+        return TransformResult(select, re - im if select is TransformSelect.DHT else re + 1j * im)
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)
     raise ValueError(f"arith must be 'exact' or a FixedConfig, got {arith!r}")

@@ -20,6 +20,7 @@ truncating it to zero first (see _overwrite_text), and fsync nothing.
 
 from __future__ import annotations
 
+import operator
 import os
 import stat
 from dataclasses import dataclass, replace
@@ -34,6 +35,8 @@ _WORD16 = 0xFFFF
 _WORD32 = 0xFFFFFFFF
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
+_WORD_RANGES = {"input": (-0x8000, 0x7FFF, "signed 16-bit integers [-32768, 32767]"),
+                "output": (0, _WORD32, "32 bits [0, 2**32)")}
 
 
 class StimulusFormatError(ValueError):
@@ -44,8 +47,8 @@ class StimulusFormatError(ValueError):
 class MemoryImage:
     """Value snapshot of the device memory.
 
-    Input words must lie in signed 16-bit range (ValueError names the first
-    that does not); select is stored as a TransformSelect, whatever its
+    Input words must be integers in signed 16-bit range (ValueError names
+    the first that is not); select is stored as a TransformSelect, whatever its
     spelling.
     """
 
@@ -55,13 +58,22 @@ class MemoryImage:
     overflow: bool = False
 
     def __post_init__(self):
-        # a word outside int16 would be masked on its way to a stimulus file
-        # and read back as a different input than the model ran
-        words, lo, hi = self.input_words, _HALF_WORD.min_raw, _HALF_WORD.max_raw
-        if min(words, default=0) < lo or max(words, default=0) > hi:
-            i = next(i for i, w in enumerate(words) if not lo <= w <= hi)
-            raise ValueError(f"input word {i} = {words[i]} is outside signed 16-bit [{lo}, {hi}]")
+        object.__setattr__(self, "input_words", _checked_words(self.input_words, "input"))
         object.__setattr__(self, "select", TransformSelect(self.select))
+
+
+def _checked_words(words, field: str) -> tuple:
+    """words as a tuple.  ValueError names the first that is not an integer
+    in the field's range: masked to the field, it would store another word."""
+    words, (lo, hi, span) = tuple(words), _WORD_RANGES[field]
+    for i, w in enumerate(words):
+        try:
+            ok = lo <= operator.index(w) <= hi
+        except TypeError:
+            ok = False
+        if not ok:
+            raise ValueError(f"{field} word {i} = {w} is outside {span}")
+    return words
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
@@ -107,10 +119,7 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 def unpack_output(words, select: TransformSelect):
     """Inverse of pack_output: recover signed 16-bit raws.  A word outside
     [0, 2**32) raises ValueError naming its index."""
-    select, words = TransformSelect(select), tuple(words)
-    if min(words, default=0) < 0 or max(words, default=0) > _WORD32:
-        i = next(i for i, w in enumerate(words) if not 0 <= w <= _WORD32)
-        raise ValueError(f"output word {i} = {words[i]} is outside 32 bits [0, 2**32)")
+    select, words = TransformSelect(select), _checked_words(words, "output")
     if select is TransformSelect.DFT:
         return tuple((_sign_extend16(w >> 16), _sign_extend16(w)) for w in words)
     return tuple(_sign_extend16(w) for w in words)
@@ -120,10 +129,6 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
                cfg: FixedConfig | None = None) -> MemoryImage:
     """Model one device pass: load, run the core block, pack, store."""
     cfg = cfg or FixedConfig()
-    if len(image.input_words) != plan.order:
-        raise ValueError(
-            f"memory holds {len(image.input_words)} input words, plan order is {plan.order}"
-        )
     samples = np.array(image.input_words, dtype=np.float64) / cfg.fmt.scale
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
@@ -186,7 +191,9 @@ def write_stimulus(image: MemoryImage, path):
 
 
 def write_output_words(words, path):
-    _overwrite_text(path, "".join(format(w & 0xFFFFFFFF, "08X") + "\n" for w in words))
+    """One 32-bit hex word per line; a word outside [0, 2**32) raises as in unpack_output."""
+    words = _checked_words(words, "output")
+    _overwrite_text(path, "".join(format(w, "08X") + "\n" for w in words))
 
 
 def read_output_words(path) -> tuple[int, ...]:

@@ -22,8 +22,10 @@ count is rank(T) and R is the reduced row-echelon form of T.
 A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
-Every walker (the fixed executor, the float pass that exact mode and
-reconstruct share, count_ops and format_plan) is one pass over that tuple.
+Every walker is one pass over that tuple.  The merge rule lives in
+_merge_streams alone; its callers are the float pass that exact mode and
+reconstruct share (_float_pass), the fixed executor and count_ops, and
+format_plan is the one other reader of a stream's accumulator and sign.
 
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
@@ -34,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -328,27 +331,31 @@ def build_plan(n: int) -> LaurentPlan:
     return plan
 
 
-def _merge_streams(plan: LaurentPlan, reduced) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) from each stream's reduced-row output, in plan order: scale by
-    value (weighted streams), apply the combiner, then merge as the fixed
-    executor does, the first stream into an accumulator becoming its contents."""
-    acc: dict[str, np.ndarray] = {}
-    for s, u in zip(plan.streams, reduced):
-        y = s.factor.combiner @ (u if s.value is None else s.value * u)
-        if s.dest not in acc:
-            acc[s.dest] = y
-        elif s.sign > 0:
-            acc[s.dest] += y
-        else:
-            acc[s.dest] -= y
+def _merge_streams(plan: LaurentPlan, outputs, add, sub):
+    """The one merge rule: (re, im) from each stream's stage output in plan
+    order, the first into an accumulator becoming its contents and each later
+    one merged as add(acc, y) if its sign is +1 and sub(acc, y) if -1."""
+    acc = {}
+    for s, y in zip(plan.streams, outputs):
+        a = acc.get(s.dest)
+        acc[s.dest] = y if a is None else (add if s.sign > 0 else sub)(a, y)
     return acc["re"], acc["im"]
 
 
+def _float_pass(plan: LaurentPlan, reduce) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) in doubles: combiner @ (value * reduce(reduced_rows)) per stream."""
+    def outputs():
+        for s in plan.streams:
+            u = reduce(s.factor.reduced_rows)
+            yield s.factor.combiner @ (u if s.value is None else s.value * u)
+    return _merge_streams(plan, outputs(), operator.iadd, operator.isub)
+
+
 def reconstruct(plan: LaurentPlan) -> np.ndarray:
-    """The complex matrix the plan represents: exact mode's float pass fed with
-    reduced_rows @ I, so build_plan's self-check runs exact mode's arithmetic.
-    A reduced_rows column has at most one nonzero, so each entry is one product."""
-    re, im = _merge_streams(plan, (s.factor.reduced_rows for s in plan.streams))
+    """The complex matrix the plan represents: exact mode's float pass on the
+    identity (reduced_rows @ I is reduced_rows), so build_plan's self-check
+    runs exact mode's arithmetic."""
+    re, im = _float_pass(plan, lambda rows: rows)
     return re + 1j * im
 
 
@@ -383,15 +390,13 @@ def _row_adds(mat: np.ndarray) -> int:
 
 def count_ops(plan: LaurentPlan) -> OpCount:
     """Structural operation count; see OpCount for the exact convention."""
-    mults = adds = 0
-    reached = {"re": np.zeros(plan.order, dtype=np.int64),
-               "im": np.zeros(plan.order, dtype=np.int64)}
-    for s in plan.streams:
-        if s.value is not None:
-            mults += s.factor.rank
-        adds += _row_adds(s.factor.reduced_rows) + _row_adds(s.factor.combiner)
-        reached[s.dest] += np.count_nonzero(s.factor.combiner, axis=1) > 0
-    merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reached.values())
+    mults = sum(s.factor.rank for s in plan.streams if s.value is not None)
+    adds = sum(_row_adds(s.factor.reduced_rows) + _row_adds(s.factor.combiner)
+               for s in plan.streams)
+    # how many streams reach each output row; int, since np.add on bools is a logical or
+    reached = _merge_streams(plan, (s.factor.combiner.any(axis=1).astype(np.int64)
+                                    for s in plan.streams), np.add, np.add)
+    merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reached)
     return OpCount(mults, adds, merge, plan.order)
 
 

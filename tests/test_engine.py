@@ -11,6 +11,7 @@ from laurentfft import (
     Fixed,
     FixedConfig,
     LaurentPlan,
+    OpCount,
     OverflowFlag,
     QFormat,
     Stream,
@@ -240,6 +241,11 @@ class TestFixedMode:
                     overflows.append(out.overflow)
         assert any(overflows) == (acc_bits < 32)
 
+    def test_arith_must_be_a_config(self, plan16):
+        # the string "fixed" names no word format, rounding or accumulator
+        with pytest.raises(ValueError, match="arith must be 'exact' or a FixedConfig"):
+            execute(plan16, RAMP2, TransformSelect.DFT, "fixed")
+
     def test_overflow_flag_reported_not_raised(self):
         plan = build_plan(16)
         cramped = FixedConfig(fmt=QFormat(8, 3), acc_total_bits=9)
@@ -258,6 +264,25 @@ class TestFixedMode:
         assert len(set(results)) == 1
 
 
+class TestFixedConfig:
+    def test_unknown_rounding_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
+            FixedConfig(rounding="bogus")
+
+    @pytest.mark.parametrize("bits", [15, 33])
+    def test_accumulator_width_rejected_at_construction(self, bits):
+        # narrower than the 16-bit word, or wider than a QFormat can be
+        with pytest.raises(ValueError, match=rf"accumulator width .* got {bits}"):
+            FixedConfig(acc_total_bits=bits)
+
+    def test_accumulator_format_built_once(self):
+        cfg = FixedConfig(acc_total_bits=18)
+        assert cfg.acc_fmt is cfg.acc_fmt
+        assert cfg.acc_fmt == QFormat(18, 7)
+        assert cfg == FixedConfig(acc_total_bits=18)
+        assert hash(cfg) == hash(FixedConfig(acc_total_bits=18))
+
+
 class TestCountOps:
     def test_order_16(self, plan16):
         ops = count_ops(plan16)
@@ -267,6 +292,14 @@ class TestCountOps:
         assert ops.additions == 96
         assert ops.accumulation_adds == 56
         assert ops.dht_extra_adds == 16
+
+    @pytest.mark.parametrize("n, mults, adds, merge", [
+        (4, 0, 8, 0), (8, 2, 28, 8), (12, 8, 80, 20), (20, 32, 224, 88),
+        (32, 54, 340, 280), (64, 224, 1256, 1240), (128, 906, 4796, 5208),
+        (256, 3636, 18704, 21336)])
+    def test_pinned_at_other_orders(self, n, mults, adds, merge):
+        # structural constants of this factorization, pinned for regression
+        assert count_ops(build_plan(n)) == OpCount(mults, adds, merge, n)
 
     def test_executed_adds_at_order_16(self, plan16, monkeypatch):
         # The engine runs more adds than count_ops reports (152 on a DFT, plus
@@ -345,6 +378,12 @@ class TestQuantizationReport:
     def test_impulse_has_zero_error(self, plan16):
         rep = quantization_report(plan16, [1.0] + [0.0] * 15)
         assert rep.max_rel_error == 0.0
+
+    @pytest.mark.parametrize("select", list(TransformSelect))
+    def test_all_zero_signal_has_no_entries(self, plan16, select):
+        # every component is at the floor, so none is significant
+        rep = quantization_report(plan16, [0.0] * 16, select=select)
+        assert (rep.max_rel_error, rep.dominant_bins, rep.floor, rep.entries) == (0.0, (), 0.0, ())
 
     def test_random_sweep_envelope(self, plan16):
         # inputs on the Q8.7 grid in [-1, 1): the measured error is purely

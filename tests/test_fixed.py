@@ -98,6 +98,10 @@ class TestQuantize:
                 quantize(x, Q16_7, ROUND_HALF_AWAY, flags)
             assert not flags.overflow
 
+    def test_unknown_rounding_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
+            quantize(0.3, Q16_7, rounding="bogus")
+
     def test_round_trip_half_ulp(self):
         rng = np.random.default_rng(31)
         bound = 0.5 / Q16_7.scale
@@ -146,6 +150,8 @@ class TestAddSub:
     def test_format_mismatch(self):
         with pytest.raises(ValueError):
             fx_add(Fixed(1, Q16_7), Fixed(1, QFormat(32, 7)))
+        with pytest.raises(ValueError):
+            fx_sub(Fixed(1, Q16_7), Fixed(1, QFormat(32, 7)))
 
     def test_commutative(self):
         rng = np.random.default_rng(32)

@@ -185,6 +185,16 @@ class TestStimulusFiles:
         with pytest.raises(StimulusFormatError, match=message):
             load_stimulus(path)
 
+    @pytest.mark.parametrize("bad, index", [(2**32 + 5, 0), (-1, 1), (1.5, 1)])
+    def test_output_word_outside_32_bits_rejected(self, tmp_path, bad, index):
+        # masked to 32 bits, 2**32 + 5 would be written as 5 and -1 as FFFFFFFF
+        words = [0, 0]
+        words[index] = bad
+        path = tmp_path / "out.hex"
+        with pytest.raises(ValueError, match=rf"output word {index} = {bad} is outside 32 bits"):
+            write_output_words(words, path)
+        assert not path.exists()
+
     def test_stimulus_words_in_either_case_and_short(self, tmp_path):
         path = tmp_path / "stim.txt"
         path.write_text("select dht\nfc00\nFC00\n7\n 80 \n")
@@ -208,7 +218,8 @@ class TestStimulusFiles:
 class TestImageValidation:
     # masked to 16 bits, 70000 would be written as 1170 (read back 4464)
     # and 0xFC00 would read back as -1024
-    @pytest.mark.parametrize("bad, index", [(70000, 0), (0xFC00, 5), (-32769, 15)])
+    # 1.5 would run as an off-grid sample and fail to mask on its way to a file
+    @pytest.mark.parametrize("bad, index", [(70000, 0), (0xFC00, 5), (-32769, 15), (1.5, 3)])
     def test_word_outside_int16_names_its_index(self, bad, index):
         words = [0] * 16
         words[index] = bad
