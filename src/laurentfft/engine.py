@@ -4,11 +4,14 @@ Each stream of the plan is applied as combiner @ (scalar * (reduced_rows @ v)):
 the reduced rows cost additions, the scalar costs rank-many multiplications
 (none for the unweighted streams), the combiner costs additions again, and
 plan._merge_streams, the one merge rule, adds the result to or subtracts it
-from its output accumulator in stream order.  Exact mode runs the pass in
-doubles through plan._float_pass, as reconstruct does; fixed mode merges with
-fx_add and fx_sub.  A select bit chooses Fourier output (Re, Im) or Hartley
-output (Re - Im).  In fixed mode every operation is saturating Q-format
-integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+from its output accumulator in stream order.  Exact mode runs in doubles: the
+reduced rows and scalars of every stream at once, as one gather
+(plan.LaurentPlan.input_stage), then the combiner and merge of each stream
+through plan._float_pass, as reconstruct does.  Fixed mode runs every stage
+per stream and merges with fx_add and fx_sub.  A select bit chooses Fourier
+output (Re, Im) or Hartley output (Re - Im).  In fixed mode every operation
+is saturating Q-format integer arithmetic: 16-bit inputs and constants,
+32-bit accumulators.
 Each row of a factor is accumulated over its nonzero terms only, in
 increasing column order; like the stream order, that order decides where a
 narrow accumulator saturates, so it is part of the bit-exact result.
@@ -149,7 +152,7 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     select = TransformSelect(select)
     v = _check_input(plan, samples)
     if arith == "exact":
-        re, im = _float_pass(plan, lambda rows: rows @ v)
+        re, im = _float_pass(plan, plan.input_stage.apply(v))
         return TransformResult(select, re - im if select is TransformSelect.DHT else re + 1j * im)
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)

@@ -118,10 +118,14 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
 def unpack_output(words, select: TransformSelect):
     """Inverse of pack_output: recover signed 16-bit raws.  A word outside
-    [0, 2**32) raises ValueError naming its index."""
+    [0, 2**32), or a DHT word whose upper half is not zero, raises
+    ValueError naming its index."""
     select, words = TransformSelect(select), _checked_words(words, "output")
     if select is TransformSelect.DFT:
         return tuple((_sign_extend16(w >> 16), _sign_extend16(w)) for w in words)
+    for i, w in enumerate(words):
+        if w > _WORD16:
+            raise ValueError(f"DHT output word {i} = {w:#010x} has a nonzero upper half")
     return tuple(_sign_extend16(w) for w in words)
 
 

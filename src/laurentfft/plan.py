@@ -26,6 +26,9 @@ Every walker is one pass over that tuple.  The merge rule lives in
 _merge_streams alone; its callers are the float pass that exact mode and
 reconstruct share (_float_pass), the fixed executor and count_ops, and
 format_plan is the one other reader of a stream's accumulator and sign.
+Exact mode's input and multiplier stages are not a walk: they run as one
+gather over every stream's reduced rows (LaurentPlan.input_stage, built on
+first use), and the float pass is the output stage alone.
 
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
@@ -38,6 +41,7 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -147,18 +151,19 @@ class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
     Both factors are stored as read-only float64 copies whose entries are
-    exactly -1, 0 and +1: float64 is the dtype the float pass multiplies in
-    (exact mode and reconstruct), so no call converts them again.  Every
-    product of them is a small integer and exact in float64; product()
-    returns T as int64.  rank is the inner dimension, i.e. how many
-    intermediate values a scalar weight must multiply: one per group of
-    columns of T that are equal up to sign.  At rank 0 the factors are
-    (rows, 0) and (0, cols) arrays, so every product with them is a
-    correctly shaped zero.  optimal is True when the combiner columns are
-    linearly independent, so that rank is the rational rank of T; otherwise
-    rank exceeds it.  reduced_terms and combiner_terms list each row's
-    nonzero entries; they are computed on first use, so building a plan
-    does not pay for them.
+    exactly -1, 0 and +1: float64 is the dtype the float pass applies the
+    combiner in and reconstruct scales the reduced rows in, so no call
+    converts them again (exact mode gathers its input stage once, through
+    LaurentPlan.input_stage).  Every product of them is a small integer and
+    exact in float64; product() returns T as int64.  rank is the inner
+    dimension, i.e. how many intermediate values a scalar weight must
+    multiply: one per group of columns of T that are equal up to sign.  At
+    rank 0 the factors are (rows, 0) and (0, cols) arrays, so every product
+    with them is a correctly shaped zero.  optimal is True when the
+    combiner columns are linearly independent, so that rank is the rational
+    rank of T; otherwise rank exceeds it.  reduced_terms and combiner_terms
+    list each row's nonzero entries; they are computed on first use, so
+    building a plan does not pay for them.
     """
 
     combiner: np.ndarray
@@ -276,6 +281,31 @@ class Stream:
     sign: int
 
 
+class InputStage(NamedTuple):
+    """The input and multiplier stages of every stream as one flat gather.
+
+    Intermediate i of the plan is scale[i] times the sum over the entries e
+    with rows[e] == i of signs[e] * v[cols[e]].  The entries follow the
+    nonzero entries of each stream's reduced_rows in plan order, row by row,
+    in increasing column order within a row.  Stream k owns the
+    intermediates starts[k]:starts[k + 1]; scale is its value on them, or
+    1.0 on the unit streams.
+    """
+
+    rows: np.ndarray
+    cols: np.ndarray
+    signs: np.ndarray
+    scale: np.ndarray
+    starts: tuple[int, ...]
+
+    def apply(self, v: np.ndarray) -> list[np.ndarray]:
+        """Each stream's scaled intermediates, value * (reduced_rows @ v), in
+        plan order; bincount adds each intermediate's entries in their order."""
+        u = np.bincount(self.rows, weights=self.signs * v[self.cols],
+                        minlength=self.scale.size) * self.scale
+        return [u[a:b] for a, b in zip(self.starts, self.starts[1:])]
+
+
 @dataclass(frozen=True, eq=False)
 class LaurentPlan:
     """The transform as one flat tuple of streams.
@@ -293,6 +323,23 @@ class LaurentPlan:
     def optimal(self) -> bool:
         """True when every factorization achieved its rational rank."""
         return all(s.factor.optimal for s in self.streams)
+
+    @functools.cached_property
+    def input_stage(self) -> InputStage:
+        """The streams' reduced rows and scalars lowered to one gather;
+        computed on first use, so building a plan does not pay for it."""
+        mats = [s.factor.reduced_rows for s in self.streams]
+        ranks = [s.factor.rank for s in self.streams]
+        starts = np.cumsum([0] + ranks)
+        # np.nonzero walks each matrix row by row, in increasing column order
+        nonzero = [np.nonzero(m) for m in mats]
+        rows = np.concatenate([r + a for (r, _), a in zip(nonzero, starts)])
+        cols = np.concatenate([c for _, c in nonzero])
+        signs = np.concatenate([m[ix] for m, ix in zip(mats, nonzero)])
+        scale = np.repeat([1.0 if s.value is None else s.value for s in self.streams], ranks)
+        for a in (rows, cols, signs, scale):
+            a.setflags(write=False)
+        return InputStage(rows, cols, signs, scale, tuple(starts.tolist()))
 
 
 def build_plan(n: int) -> LaurentPlan:
@@ -342,20 +389,20 @@ def _merge_streams(plan: LaurentPlan, outputs, add, sub):
     return acc["re"], acc["im"]
 
 
-def _float_pass(plan: LaurentPlan, reduce) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) in doubles: combiner @ (value * reduce(reduced_rows)) per stream."""
-    def outputs():
-        for s in plan.streams:
-            u = reduce(s.factor.reduced_rows)
-            yield s.factor.combiner @ (u if s.value is None else s.value * u)
-    return _merge_streams(plan, outputs(), operator.iadd, operator.isub)
+def _float_pass(plan: LaurentPlan, scaled) -> tuple[np.ndarray, np.ndarray]:
+    """(re, im) in doubles: the output stage, combiner @ x for each stream's
+    scaled intermediates x (value * (reduced_rows @ v)), taken in plan order
+    and merged by _merge_streams."""
+    return _merge_streams(plan, (s.factor.combiner @ x for s, x in zip(plan.streams, scaled)),
+                          operator.iadd, operator.isub)
 
 
 def reconstruct(plan: LaurentPlan) -> np.ndarray:
-    """The complex matrix the plan represents: exact mode's float pass on the
-    identity (reduced_rows @ I is reduced_rows), so build_plan's self-check
-    runs exact mode's arithmetic."""
-    re, im = _float_pass(plan, lambda rows: rows)
+    """The complex matrix the plan represents: the float pass on the identity,
+    whose scaled intermediates are value * reduced_rows, so build_plan's
+    self-check runs exact mode's output stage."""
+    re, im = _float_pass(plan, (s.factor.reduced_rows if s.value is None
+                                else s.value * s.factor.reduced_rows for s in plan.streams))
     return re + 1j * im
 
 

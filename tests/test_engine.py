@@ -95,6 +95,14 @@ def _oracle_fixed(plan, v, select, cfg):
     return tuple(f.raw for f in re), tuple(f.raw for f in im), flags.overflow
 
 
+EXACT_ORDERS = (*range(4, 129, 4), 256)
+
+
+@pytest.fixture(scope="module")
+def exact_plans():
+    return {n: build_plan(n) for n in EXACT_ORDERS}
+
+
 class TestExactMode:
     def test_table_dft(self, plan16):
         out = execute(plan16, RAMP2, TransformSelect.DFT, "exact")
@@ -105,14 +113,28 @@ class TestExactMode:
         out = execute(plan16, RAMP2, TransformSelect.DHT, "exact")
         assert np.abs(out.values - dht_direct(RAMP2)).max() < 1e-9
 
-    def test_oracle_equivalence_random(self):
+    def test_oracle_equivalence_random(self, exact_plans):
         rng = np.random.default_rng(41)
-        for n in (4, 8, 12, 16, 20, 24, 28, 32):
-            plan = build_plan(n)
-            for _ in range(10):
+        for n in EXACT_ORDERS:
+            for _ in range(10 if n <= 32 else 3):
                 v = rng.normal(size=n)
-                out = execute(plan, v, TransformSelect.DFT, "exact")
-                assert np.abs(out.values - dft_direct(v)).max() < 1e-9
+                out = execute(exact_plans[n], v, TransformSelect.DFT, "exact")
+                assert np.abs(out.values - dft_direct(v)).max() < 1e-9, n
+
+    def test_input_stage_matches_reduced_rows(self, exact_plans):
+        # on integer samples every sum is exact, so the gather must give each
+        # stream's value * (reduced_rows @ v) bit for bit, whatever the order
+        rng = np.random.default_rng(44)
+        for n, plan in exact_plans.items():
+            v = rng.integers(-1000, 1001, size=n).astype(float)
+            g = plan.input_stage
+            for s, u in zip(plan.streams, g.apply(v), strict=True):
+                want = s.factor.reduced_rows @ v
+                assert np.array_equal(u, want if s.value is None else s.value * want), n
+            # entries run in plan order, row by row, columns increasing in a row
+            assert g.starts[-1] == g.scale.size == sum(s.factor.rank for s in plan.streams)
+            step = np.diff(g.rows)
+            assert (step >= 0).all() and (np.diff(g.cols)[step == 0] > 0).all(), n
 
     def test_hartley_is_re_minus_im(self, plan16):
         rng = np.random.default_rng(42)
@@ -156,8 +178,10 @@ class TestExactMode:
         assert out.select is TransformSelect.DHT
 
     def test_self_check_covers_exact_mode(self):
-        # reconstruct is exact mode's pass fed with reduced_rows @ I, so
-        # build_plan's self-check vouches for exact mode on every basis vector
+        # reconstruct feeds exact mode's output stage value * reduced_rows,
+        # the scaled intermediates of the identity, so build_plan's self-check
+        # vouches for the output stage; the input stage is checked against the
+        # reduced rows in test_input_stage_matches_reduced_rows
         for n in range(4, 65, 4):
             plan = build_plan(n)
             rec = reconstruct(plan)
@@ -348,6 +372,10 @@ class TestCountOps:
         assert count_ops(padded) == count_ops(plan16)
         assert np.array_equal(reconstruct(padded), reconstruct(plan16))
         assert format_plan(padded).startswith("plan for N=16: 9 streams, 12 multiplications")
+        # exact mode's gather gives the zero stream no entries and no intermediates
+        g, h = padded.input_stage, plan16.input_stage
+        assert g.starts == h.starts + (h.starts[-1],)
+        assert all(np.array_equal(a, b) for a, b in zip(g[:4], h[:4]))
         v = np.array(FULL_SCALE_RAWS) / 128
         for arith in ("exact", FixedConfig(acc_total_bits=16)):
             a = execute(padded, v, TransformSelect.DFT, arith)

@@ -65,6 +65,14 @@ class TestPacking:
         with pytest.raises(ValueError, match=rf"output word {index} = {bad} is outside 32 bits"):
             unpack_output(words, select)
 
+    def test_unpack_dht_rejects_nonzero_upper_half(self):
+        # a DFT word read back as DHT would otherwise pass as its imaginary half
+        with pytest.raises(ValueError, match=r"DHT output word 1 = 0xfc0009b0 has a nonzero upper"):
+            unpack_output([0x0000F250, 0xFC0009B0], TransformSelect.DHT)
+        with pytest.raises(ValueError, match=r"DHT output word 0 = 0x00010000 "):
+            unpack_output([0x00010000], TransformSelect.DHT)
+        assert unpack_output([0x0000FFFF], TransformSelect.DHT) == (-1,)
+
     def test_round_trip_random_raws(self):
         rng = np.random.default_rng(51)
         for _ in range(1000):
