@@ -18,7 +18,8 @@ import numpy as np
 
 from .engine import FixedConfig, TransformSelect, execute
 from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
-from .memory import _overwrite_text, load_stimulus, pack_output, run_device, write_output_words
+from .memory import (_overwrite_text, _read_ascii_lines, load_stimulus, pack_output, run_device,
+                     write_output_words)
 from .plan import build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
 
@@ -29,12 +30,11 @@ class CliError(Exception):
 
 def _read_samples(path) -> list[float]:
     try:
-        with open(path, "r", encoding="ascii") as fh:
-            text = fh.read()
+        lines = _read_ascii_lines(path, CliError)
     except OSError as exc:
         raise CliError(f"cannot read input file: {exc}") from None
     values = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(lines, start=1):
         for token in line.replace(",", " ").split():
             try:
                 values.append(float(token))

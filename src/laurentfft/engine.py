@@ -1,22 +1,15 @@
 """Plan execution in exact or bit-exact fixed-point arithmetic.
 
-Each stream of the plan is applied as combiner @ (scalar * (reduced_rows @ v)):
-the reduced rows cost additions, the scalar costs rank-many multiplications
-(none for the unweighted streams), the combiner costs additions again, and
-plan._merge_streams, the one merge rule, adds the result to or subtracts it
-from its output accumulator in stream order.  Exact mode runs in doubles: the
-reduced rows and scalars of every stream at once, as one gather
-(plan.LaurentPlan.input_stage), then the combiner and merge of each stream
-through plan._float_pass, as reconstruct does.  Fixed mode runs every stage
-per stream and merges with fx_add and fx_sub.  A select bit chooses Fourier
-output (Re, Im) or Hartley output (Re - Im).  In fixed mode every operation
-is saturating Q-format integer arithmetic: 16-bit inputs and constants,
-32-bit accumulators.
-Each row of a factor is accumulated over its nonzero terms only, in
-increasing column order; like the stream order, that order decides where a
-narrow accumulator saturates, so it is part of the bit-exact result.
-The structural operation count, count_ops, is defined with the plan and
-re-exported here.
+Both modes run the device's stages in order (see plan.StageTape): input
+adds, the scalar multipliers, combiner adds, the stream merge
+(plan._merge_streams, the one merge rule) and, for a Hartley select, Re - Im.
+A select bit chooses Fourier output (Re, Im) or Hartley output (Re - Im).
+Fixed mode runs every stage from the plan's tape in saturating Q-format
+integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+Exact mode runs in doubles: its input and multiplier stages are one gather
+over the tape, and its output stage is plan._float_pass, which reconstruct
+shares.  The structural operation count, count_ops, is defined with the
+plan and re-exported here.
 """
 
 from __future__ import annotations
@@ -37,7 +30,7 @@ from .fixed import (
     fx_sub,
     quantize,
 )
-from .plan import LaurentPlan, OpCount, RowTerms, _float_pass, _merge_streams, count_ops  # noqa
+from .plan import LaurentPlan, OpCount, _float_pass, _merge_streams, count_ops  # noqa
 
 FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport
 
@@ -96,37 +89,30 @@ def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
     return v
 
 
-def _rows_fixed(terms: RowTerms, vals: list[Fixed], zero: Fixed,
-                flags: OverflowFlag) -> list[Fixed]:
-    # Bound per call, not at import, so a wrapper on engine.fx_add or
-    # engine.fx_sub sees every op.
-    add, sub = fx_add, fx_sub
-    out = []
-    for row in terms:
-        acc = zero
-        for col, positive in row:
-            acc = add(acc, vals[col], flags) if positive else sub(acc, vals[col], flags)
-        out.append(acc)
-    return out
-
-
 def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
+    tape = plan.tape
     flags = OverflowFlag()
-    zero = Fixed(0, cfg.acc_fmt)
     x = [Fixed(quantize(s, cfg.fmt, cfg.rounding, flags).raw, cfg.acc_fmt) for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
-    rom = {c: quantize(c, cfg.fmt, cfg.rounding, flags)
-           for c in dict.fromkeys(s.value for s in plan.streams) if c is not None}
+    rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]
+    zero = Fixed(0, cfg.acc_fmt)
 
-    def outputs():
-        for s in plan.streams:
-            u = _rows_fixed(s.factor.reduced_terms, x, zero, flags)
-            if s.value is not None:
-                u = [fx_mul(a, rom[s.value], cfg.rounding, flags) for a in u]
-            yield _rows_fixed(s.factor.combiner_terms, u, zero, flags)
+    def sum_rows(table, vals):
+        # Bound per call, not at import, so a wrapper on engine.fx_add or
+        # engine.fx_sub sees every op.
+        add, sub = fx_add, fx_sub
+        out = [zero] * (table.bounds.size - 1)
+        for r, c, s in zip(table.rows.tolist(), table.cols.tolist(), table.signs.tolist()):
+            out[r] = add(out[r], vals[c], flags) if s > 0 else sub(out[r], vals[c], flags)
+        return out
 
-    re, im = _merge_streams(plan, outputs(),
+    u = sum_rows(tape.inputs, x)
+    u = [a if k < 0 else fx_mul(a, rom[k], cfg.rounding, flags)
+         for a, k in zip(u, tape.slots.tolist())]
+    y = sum_rows(tape.combiners, u)
+    n = plan.order
+    re, im = _merge_streams(plan, (y[i:i + n] for i in range(0, len(y), n)),
                             lambda a, b: [fx_add(p, q, flags) for p, q in zip(a, b)],
                             lambda a, b: [fx_sub(p, q, flags) for p, q in zip(a, b)])
 
@@ -152,7 +138,12 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     select = TransformSelect(select)
     v = _check_input(plan, samples)
     if arith == "exact":
-        re, im = _float_pass(plan, plan.input_stage.apply(v))
+        # the input and multiplier stages as one gather; bincount adds each
+        # intermediate's terms in their tape order
+        t = plan.tape
+        u = np.bincount(t.inputs.rows, weights=t.inputs.signs * v[t.inputs.cols],
+                        minlength=t.scale.size) * t.scale
+        re, im = _float_pass(plan, (u[a:b] for a, b in zip(t.starts, t.starts[1:])))
         return TransformResult(select, re - im if select is TransformSelect.DHT else re + 1j * im)
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)

@@ -14,7 +14,7 @@ stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
 followed by 16-bit input words; output files hold 32-bit words.  A word
 is 1-4 (stimulus) or 1-8 (output) hex digits in either case, with no sign,
 prefix or separator, and a reader names path:line of the first that is
-not.  The writers overwrite an existing file in place rather than
+not, or of the first non-ASCII byte.  The writers overwrite an existing file in place rather than
 truncating it to zero first (see _overwrite_text), and fsync nothing.
 """
 
@@ -150,10 +150,21 @@ def _hex_word(path, lineno: int, text: str, digits: int) -> int:
     return int(text, 16)
 
 
+def _read_ascii_lines(path, error=StimulusFormatError) -> list[str]:
+    """The lines of an ASCII text file; a non-ASCII byte raises error naming path:line."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        return data.decode("ascii").splitlines()
+    except UnicodeDecodeError as exc:
+        # the bad byte ends the line that splitlines would number lineno
+        lineno = len((data[:exc.start].decode("ascii") + "?").splitlines())
+        raise error(f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
+
+
 def load_stimulus(path) -> MemoryImage:
     """Read a stimulus file: SELECT header plus one 16-bit hex word per line."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
+    lines = _read_ascii_lines(path)
     entries = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
     if not entries:
         raise StimulusFormatError(f"{path}: empty stimulus file")
@@ -202,6 +213,5 @@ def write_output_words(words, path):
 
 def read_output_words(path) -> tuple[int, ...]:
     """Read an output word file: one 32-bit hex word per line, blank lines skipped."""
-    with open(path, "r", encoding="ascii") as fh:
-        lines = [line.strip() for line in fh.read().splitlines()]
+    lines = [line.strip() for line in _read_ascii_lines(path)]
     return tuple(_hex_word(path, i + 1, text, 8) for i, text in enumerate(lines) if text)

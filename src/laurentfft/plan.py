@@ -22,13 +22,11 @@ count is rank(T) and R is the reduced row-echelon form of T.
 A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
-Every walker is one pass over that tuple.  The merge rule lives in
-_merge_streams alone; its callers are the float pass that exact mode and
-reconstruct share (_float_pass), the fixed executor and count_ops, and
-format_plan is the one other reader of a stream's accumulator and sign.
-Exact mode's input and multiplier stages are not a walk: they run as one
-gather over every stream's reduced rows (LaurentPlan.input_stage, built on
-first use), and the float pass is the output stage alone.
+LaurentPlan.tape lowers the streams once, on first use, to the device's
+stages; StageTape says which walker reads which of its tables.  The merge
+rule lives in _merge_streams alone, over the streams.  Only format_plan and
+the output stage that exact mode shares with reconstruct (_float_pass) read
+the dense factors.
 
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
@@ -55,8 +53,6 @@ RECONSTRUCTION_TOL = 1e-12
 # machine's load; the time grows about 9x and the memory 3.4x each time N
 # doubles.
 MAX_ORDER = 512
-# Each row's nonzero entries of a ternary matrix as (column, positive) pairs.
-RowTerms = tuple[tuple[tuple[int, bool], ...], ...]
 # Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
 
@@ -153,17 +149,15 @@ class FactoredTernary:
     Both factors are stored as read-only float64 copies whose entries are
     exactly -1, 0 and +1: float64 is the dtype the float pass applies the
     combiner in and reconstruct scales the reduced rows in, so no call
-    converts them again (exact mode gathers its input stage once, through
-    LaurentPlan.input_stage).  Every product of them is a small integer and
+    converts them again; the executors and count_ops read their nonzero
+    entries from LaurentPlan.tape.  Every product of them is a small integer and
     exact in float64; product() returns T as int64.  rank is the inner
     dimension, i.e. how many intermediate values a scalar weight must
     multiply: one per group of columns of T that are equal up to sign.  At
     rank 0 the factors are (rows, 0) and (0, cols) arrays, so every product
     with them is a correctly shaped zero.  optimal is True when the
     combiner columns are linearly independent, so that rank is the rational
-    rank of T; otherwise rank exceeds it.  reduced_terms and combiner_terms
-    list each row's nonzero entries; they are computed on first use, so
-    building a plan does not pay for them.
+    rank of T; otherwise rank exceeds it.
     """
 
     combiner: np.ndarray
@@ -179,21 +173,6 @@ class FactoredTernary:
 
     def product(self) -> np.ndarray:
         return (self.combiner @ self.reduced_rows).astype(np.int64)
-
-    @functools.cached_property
-    def reduced_terms(self) -> RowTerms:
-        """Nonzero entries of each reduced row as (column, positive) pairs
-        in increasing column order."""
-        return _row_terms(self.reduced_rows)
-
-    @functools.cached_property
-    def combiner_terms(self) -> RowTerms:
-        """Nonzero entries of each combiner row, as for reduced_terms."""
-        return _row_terms(self.combiner)
-
-
-def _row_terms(mat: np.ndarray) -> RowTerms:
-    return tuple(tuple((c, x > 0) for c, x in enumerate(row) if x) for row in mat.tolist())
 
 
 def _independent_columns(mat: np.ndarray) -> bool:
@@ -281,29 +260,56 @@ class Stream:
     sign: int
 
 
-class InputStage(NamedTuple):
-    """The input and multiplier stages of every stream as one flat gather.
-
-    Intermediate i of the plan is scale[i] times the sum over the entries e
-    with rows[e] == i of signs[e] * v[cols[e]].  The entries follow the
-    nonzero entries of each stream's reduced_rows in plan order, row by row,
-    in increasing column order within a row.  Stream k owns the
-    intermediates starts[k]:starts[k + 1]; scale is its value on them, or
-    1.0 on the unit streams.
-    """
+class RowTable(NamedTuple):
+    """The nonzero entries of ternary matrices stacked row on row: row i
+    sums signs[e] * x[cols[e]] over its entries e in bounds[i]:bounds[i + 1],
+    in increasing column order, and rows[e] is the row of entry e."""
 
     rows: np.ndarray
     cols: np.ndarray
     signs: np.ndarray
-    scale: np.ndarray
-    starts: tuple[int, ...]
+    bounds: np.ndarray
 
-    def apply(self, v: np.ndarray) -> list[np.ndarray]:
-        """Each stream's scaled intermediates, value * (reduced_rows @ v), in
-        plan order; bincount adds each intermediate's entries in their order."""
-        u = np.bincount(self.rows, weights=self.signs * v[self.cols],
-                        minlength=self.scale.size) * self.scale
-        return [u[a:b] for a, b in zip(self.starts, self.starts[1:])]
+
+def _row_table(mats, col_offsets) -> RowTable:
+    """Stack mats row on row, adding col_offsets[k] to the columns of mats[k]."""
+    # np.nonzero walks each matrix row by row, in increasing column order
+    nonzero = [np.nonzero(m) for m in mats]
+    row_offsets = np.cumsum([0] + [m.shape[0] for m in mats])
+    rows = np.concatenate([r + a for (r, _), a in zip(nonzero, row_offsets)])
+    cols = np.concatenate([c + a for (_, c), a in zip(nonzero, col_offsets)])
+    signs = np.concatenate([m[ix] for m, ix in zip(mats, nonzero)])
+    bounds = np.searchsorted(rows, np.arange(row_offsets[-1] + 1))
+    for a in (rows, cols, signs, bounds):
+        a.setflags(write=False)
+    return RowTable(rows, cols, signs, bounds)
+
+
+class StageTape(NamedTuple):
+    """The plan lowered once, in the device's stage order.
+
+    1. Input adds: row i of inputs, a signed sum of samples, is
+       intermediate i; stream k's reduced rows are starts[k]:starts[k + 1].
+    2. Multipliers: intermediate i times the ROM constant constants[slots[i]]
+       (the distinct stream values in order of first appearance), or times
+       nothing where slots[i] is -1, on the unit streams.  scale[i] is that
+       factor as a double, 1.0 for none.
+    3. Combiner adds: row k * order + j of combiners, a signed sum of the
+       stacked intermediates, is row j of stream k's combiner.
+    4. Stream merge, by _merge_streams in plan order; 5. DHT Re - Im.
+
+    The fixed executor runs stages 1-3 from the tape; exact mode gathers
+    stages 1-2 from inputs and scale; count_ops counts the rows of both
+    tables.  A row takes its terms in increasing column order, which, like
+    the stream order, decides where a narrow accumulator saturates.
+    """
+
+    inputs: RowTable
+    starts: tuple[int, ...]
+    constants: tuple[float, ...]
+    slots: np.ndarray
+    scale: np.ndarray
+    combiners: RowTable
 
 
 @dataclass(frozen=True, eq=False)
@@ -325,21 +331,21 @@ class LaurentPlan:
         return all(s.factor.optimal for s in self.streams)
 
     @functools.cached_property
-    def input_stage(self) -> InputStage:
-        """The streams' reduced rows and scalars lowered to one gather;
-        computed on first use, so building a plan does not pay for it."""
-        mats = [s.factor.reduced_rows for s in self.streams]
-        ranks = [s.factor.rank for s in self.streams]
+    def tape(self) -> StageTape:
+        """The streams lowered to one StageTape; computed on first use, so
+        building a plan does not pay for it."""
+        factors = [s.factor for s in self.streams]
+        ranks = [f.rank for f in factors]
         starts = np.cumsum([0] + ranks)
-        # np.nonzero walks each matrix row by row, in increasing column order
-        nonzero = [np.nonzero(m) for m in mats]
-        rows = np.concatenate([r + a for (r, _), a in zip(nonzero, starts)])
-        cols = np.concatenate([c for _, c in nonzero])
-        signs = np.concatenate([m[ix] for m, ix in zip(mats, nonzero)])
-        scale = np.repeat([1.0 if s.value is None else s.value for s in self.streams], ranks)
-        for a in (rows, cols, signs, scale):
+        constants = tuple(dict.fromkeys(s.value for s in self.streams if s.value is not None))
+        slots = np.repeat([-1 if s.value is None else constants.index(s.value)
+                           for s in self.streams], ranks)
+        scale = np.append(constants, 1.0)[slots]  # slot -1 reads the 1.0 appended last
+        for a in (slots, scale):
             a.setflags(write=False)
-        return InputStage(rows, cols, signs, scale, tuple(starts.tolist()))
+        return StageTape(_row_table([f.reduced_rows for f in factors], [0] * len(factors)),
+                         tuple(starts.tolist()), constants, slots, scale,
+                         _row_table([f.combiner for f in factors], starts))
 
 
 def build_plan(n: int) -> LaurentPlan:
@@ -430,21 +436,18 @@ class OpCount:
     dht_extra_adds: int
 
 
-def _row_adds(mat: np.ndarray) -> int:
-    nnz = np.count_nonzero(mat, axis=1)
-    return int(np.maximum(nnz - 1, 0).sum())
-
-
 def count_ops(plan: LaurentPlan) -> OpCount:
-    """Structural operation count; see OpCount for the exact convention."""
-    mults = sum(s.factor.rank for s in plan.streams if s.value is not None)
-    adds = sum(_row_adds(s.factor.reduced_rows) + _row_adds(s.factor.combiner)
-               for s in plan.streams)
+    """Structural operation count over the plan's tape; see OpCount for the
+    exact convention."""
+    tape, n = plan.tape, plan.order
+    lengths = [np.diff(t.bounds) for t in (tape.inputs, tape.combiners)]
+    adds = sum(int(np.maximum(k - 1, 0).sum()) for k in lengths)
     # how many streams reach each output row; int, since np.add on bools is a logical or
-    reached = _merge_streams(plan, (s.factor.combiner.any(axis=1).astype(np.int64)
-                                    for s in plan.streams), np.add, np.add)
+    reach = (lengths[1] > 0).astype(np.int64)
+    reached = _merge_streams(plan, (reach[i:i + n] for i in range(0, reach.size, n)),
+                             np.add, np.add)
     merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reached)
-    return OpCount(mults, adds, merge, plan.order)
+    return OpCount(int(np.count_nonzero(tape.slots >= 0)), adds, merge, n)
 
 
 _SYMBOLS = {-1: "-", 0: ".", 1: "+"}

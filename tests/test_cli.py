@@ -161,6 +161,13 @@ class TestTransform:
             assert code == 0
         assert out_a.read_bytes() == out_b.read_bytes()
 
+    def test_non_ascii_sample_file_names_line(self, capsys, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(b"0.5\n1.0, 2.0\n3.0\xe9\n")
+        code, out, err = run_cli(capsys, "transform", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:3: non-ASCII byte 0xe9\n"
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "transform", "--n", "16",
                                "--input", str(tmp_path / "nope.csv"))
@@ -242,6 +249,15 @@ class TestTestbench:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
+        assert not out_path.exists()
+
+    def test_non_ascii_stimulus_names_line(self, capsys, tmp_path):
+        stim = tmp_path / "stim.txt"
+        stim.write_bytes(b"SELECT DFT\n00\xe9\n")
+        out_path = tmp_path / "words.hex"
+        code, out, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {stim}:2: non-ASCII byte 0xe9\n"
         assert not out_path.exists()
 
     def test_malformed_line_reported(self, capsys, tmp_path):

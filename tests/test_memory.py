@@ -217,6 +217,23 @@ class TestStimulusFiles:
         with pytest.raises(StimulusFormatError, match=message):
             read_output_words(path)
 
+    # lines are numbered as the word parser numbers them, CR LF endings too
+    @pytest.mark.parametrize("data, where", [
+        (b"SELECT DFT\n00\xe9\n", "2: non-ASCII byte 0xe9"),
+        (b"SELECT DFT\r\n0000\r\n\r\n\xff01\n", "4: non-ASCII byte 0xff"),
+        ("\u00e9SELECT DFT\n".encode(), "1: non-ASCII byte 0xc3")])
+    def test_non_ascii_byte_names_line(self, tmp_path, data, where):
+        path = tmp_path / "stim.txt"
+        path.write_bytes(data)
+        with pytest.raises(StimulusFormatError, match=f"stim.txt:{where}"):
+            load_stimulus(path)
+
+    def test_output_word_file_non_ascii_byte_names_line(self, tmp_path):
+        path = tmp_path / "words.hex"
+        path.write_bytes(b"00000000\n\nFC00\xe909B0\n")
+        with pytest.raises(StimulusFormatError, match=r"words.hex:3: non-ASCII byte 0xe9"):
+            read_output_words(path)
+
     def test_output_words_in_either_case_and_short(self, tmp_path):
         path = tmp_path / "words.hex"
         path.write_text("fc0009b0\nFC0009B0\n7\n\n ffffffff \n")

@@ -312,20 +312,43 @@ class TestBuildPlan:
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
             assert build_plan(n).optimal
 
-    def test_row_terms_rebuild_the_factors(self):
+    def test_tape_tables_rebuild_the_factors(self):
+        # the input and combiner tables hold every nonzero of every stream's
+        # factors, row by row with columns increasing, and nothing else
         for n in range(4, 129, 4):
-            for s in build_plan(n).streams:
-                f = s.factor
-                for mat, terms in ((f.reduced_rows, f.reduced_terms),
-                                   (f.combiner, f.combiner_terms)):
-                    assert len(terms) == mat.shape[0]
-                    rebuilt = np.zeros_like(mat)
-                    for i, row in enumerate(terms):
-                        cols = [c for c, _ in row]
-                        assert all(a < b for a, b in zip(cols, cols[1:])), (n, s.label, i)
-                        for c, positive in row:
-                            rebuilt[i, c] = 1 if positive else -1
-                    assert np.array_equal(rebuilt, mat), (n, s.label)
+            plan = build_plan(n)
+            tape, width = plan.tape, plan.tape.starts[-1]
+            for table in (tape.inputs, tape.combiners):
+                rows, cols, bounds = table.rows, table.cols, table.bounds
+                assert bounds[0] == 0 and bounds[-1] == rows.size == cols.size, n
+                lengths = np.diff(bounds)
+                assert np.array_equal(rows, np.repeat(np.arange(lengths.size), lengths)), n
+                assert (np.diff(cols)[np.diff(rows) == 0] > 0).all(), n
+                assert np.isin(table.signs, (-1, 1)).all(), n
+            inputs = np.zeros((width, n))
+            inputs[tape.inputs.rows, tape.inputs.cols] = tape.inputs.signs
+            combiners = np.zeros((len(plan.streams) * n, width))
+            combiners[tape.combiners.rows, tape.combiners.cols] = tape.combiners.signs
+            for k, (s, a, b) in enumerate(zip(plan.streams, tape.starts, tape.starts[1:])):
+                f, mine = s.factor, combiners[k * n:(k + 1) * n]
+                assert np.array_equal(inputs[a:b], f.reduced_rows), (n, s.label)
+                assert np.array_equal(mine[:, a:b], f.combiner), (n, s.label)
+                assert not mine[:, :a].any() and not mine[:, b:].any(), (n, s.label)
+
+    def test_tape_rom_slots(self):
+        # one ROM slot per intermediate: the stream's distinct constant in
+        # order of first appearance, or -1 and a scale of 1.0 on the unit streams
+        for n in range(4, 129, 4):
+            plan = build_plan(n)
+            tape = plan.tape
+            values = [s.value for s in plan.streams]
+            assert tape.constants == tuple(dict.fromkeys(v for v in values if v is not None))
+            assert tape.slots.size == tape.scale.size == tape.starts[-1]
+            for s, a, b in zip(plan.streams, tape.starts, tape.starts[1:]):
+                assert b - a == s.factor.rank, (n, s.label)
+                slot = -1 if s.value is None else tape.constants.index(s.value)
+                assert (tape.slots[a:b] == slot).all(), (n, s.label)
+                assert (tape.scale[a:b] == (1.0 if s.value is None else s.value)).all()
 
     def test_plan_matrices_are_read_only(self):
         # the storage contract: read-only float64 factors with ternary entries,
