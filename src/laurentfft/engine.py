@@ -103,13 +103,13 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
         # engine.fx_sub sees every op.
         add, sub = fx_add, fx_sub
         out = [zero] * (table.bounds.size - 1)
-        for r, c, s in zip(table.rows.tolist(), table.cols.tolist(), table.signs.tolist()):
+        for r, c, s in table.terms:
             out[r] = add(out[r], vals[c], flags) if s > 0 else sub(out[r], vals[c], flags)
         return out
 
     u = sum_rows(tape.inputs, x)
     u = [a if k < 0 else fx_mul(a, rom[k], cfg.rounding, flags)
-         for a, k in zip(u, tape.slots.tolist())]
+         for a, k in zip(u, tape.slot_list)]
     y = sum_rows(tape.combiners, u)
     n = plan.order
     re, im = _merge_streams(plan, (y[i:i + n] for i in range(0, len(y), n)),

@@ -47,11 +47,12 @@ from .reference import dft_matrix
 
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
-# fails at once instead of building for long.  On one CPU of a 2-vCPU Xeon
-# machine (Python 3.11, numpy 2.4), build_plan(256) takes 0.14-0.25 s at 54 MB
-# peak RSS and build_plan(512) 1.4-2.1 s at 184 MB, the spread following the
-# machine's load; the time grows about 9x and the memory 3.4x each time N
-# doubles.
+# fails at once instead of building for long.  The slowest build is not the
+# largest: on one CPU of a 2-vCPU Xeon machine (Python 3.11, numpy 2.4),
+# build_plan(256) takes 0.09-0.12 s at 49 MB peak RSS, build_plan(512)
+# 0.66-0.97 s at 162 MB, and build_plan(508) 1.7-2.6 s at 294 MB, 246 MB of
+# it the plan's float64 factors, whose ranks sum to 31760 against 14576 at
+# N = 512.  The spread follows the machine's load.
 MAX_ORDER = 512
 # Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
@@ -65,24 +66,27 @@ class PlanConstructionError(RuntimeError):
     """Raised when a built plan violates its own structural invariants."""
 
 
-def _require_mod4(n: int):
+def _require_mod4(n) -> int:
+    """n as an int, once it is a supported block length."""
+    try:
+        n = operator.index(n)
+    except TypeError:
+        raise UnsupportedLengthError(f"block length must be an integer, got N={n!r}") from None
     if n < 4 or n % 4 != 0:
         raise UnsupportedLengthError(
             f"block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N={n}"
         )
     if n > MAX_ORDER:
         raise UnsupportedLengthError(f"block length must not exceed {MAX_ORDER}, got N={n}")
+    return n
 
 
-@functools.lru_cache(maxsize=1)
 def exponent_matrix(n: int) -> np.ndarray:
-    """N x N matrix of DFT exponents k*n mod N; read-only, kept for the last N."""
+    """N x N matrix of DFT exponents k*n mod N."""
     if n < 1:
         raise ValueError("order must be positive")
     idx = np.arange(n)
-    e = np.outer(idx, idx) % n
-    e.setflags(write=False)
-    return e
+    return np.outer(idx, idx) % n
 
 
 def chi(l: int, n: int) -> np.ndarray:
@@ -94,14 +98,13 @@ def chi(l: int, n: int) -> np.ndarray:
 
 def congruence_class(m: int, n: int) -> set[int]:
     """Residues l in 0..N-1 with l ≡ m (mod N/4).  m may be negative."""
-    _require_mod4(n)
-    step = n // 4
+    step = _require_mod4(n) // 4
     return {l for l in range(n) if (l - m) % step == 0}
 
 
 @dataclass(frozen=True, eq=False)
 class GaussianIntegerMatrix:
-    """Matrix over {0, +1, -1, +j, -j}, stored as an integer (re, im) pair."""
+    """Matrix or class weight vector over {0, +1, -1, +j, -j}, as an integer (re, im) pair."""
 
     re: np.ndarray
     im: np.ndarray
@@ -114,29 +117,28 @@ class GaussianIntegerMatrix:
         self.im.setflags(write=False)
 
 
-def build_M(m: int, n: int) -> GaussianIntegerMatrix:
-    """Weighted sum of the indicators of class C_m.
+def _class_weights(m: int, n: int) -> GaussianIntegerMatrix:
+    """The int8 weight of each residue l for a valid order N: (-j)**(4*(l - m)/N)
+    on C_m, where that power q is an integer (taken mod 4), and 0 off it."""
+    q, r = np.divmod((np.arange(n) - m) % n, n // 4)  # l is in C_m where r == 0
+    re, im = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int8)[:, q] * (r == 0)
+    return GaussianIntegerMatrix(re, im)  # column q of the table is (re, im) of (-j)**q
 
-    The weight of residue l is (-j)**(4*(l - m)/N), an integer power by the
-    class definition.  The label m is signed: M_-1 and M_(N/4 - 1) cover the
-    same residues but differ by a unit factor.
-    """
-    _require_mod4(n)
-    step = n // 4
-    d = (np.arange(n) - m) % n
-    # (-j)**unit for each residue of class C_m, -1 elsewhere; looked up per entry
-    unit = np.where(d % step == 0, d // step, -1)
-    e = exponent_matrix(n)
-    re = ((unit == 0).astype(np.int64) - (unit == 2))[e]
-    im = ((unit == 3).astype(np.int64) - (unit == 1))[e]
-    return GaussianIntegerMatrix(re, im)
+
+def build_M(m: int, n: int) -> GaussianIntegerMatrix:
+    """M_m = sum over l in C_m of (-j)**(4*(l - m)/N) chi_l: the class weights
+    gathered by the exponent matrix, in int8.  The label m is signed: M_-1
+    and M_(N/4 - 1) cover the same residues but differ by a unit factor."""
+    n = _require_mod4(n)
+    w, e = _class_weights(m, n), exponent_matrix(n)
+    return GaussianIntegerMatrix(w.re[e], w.im[e])
 
 
 def _as_ternary(mat: np.ndarray) -> np.ndarray:
     # test the values as given: a bare cast would truncate 0.5 to 0
     values = np.asarray(mat)
     if (np.abs(values) <= 1).all():
-        t = values.astype(np.int64, copy=False)
+        t = values.astype(np.int8, copy=False)
         if (t == values).all():
             return t
     raise PlanConstructionError("matrix entries escaped {-1, 0, +1}")
@@ -204,7 +206,8 @@ def _independent_columns(mat: np.ndarray) -> bool:
         p = j + nonzero[0]
         a[[j, p]] = a[[p, j]]
         a[j, j:] = a[j, j:] * pow(int(a[j, j]), -1, _PRIME) % _PRIME
-        a[j + 1:, j:] = (a[j + 1:, j:] - a[j + 1:, j:j + 1] * a[j, j:]) % _PRIME
+        rows = j + nonzero[1:]  # the rows below with a nonzero at j; the rest would subtract 0
+        a[rows, j:] = (a[rows, j:] - a[rows, j:j + 1] * a[j, j:]) % _PRIME
     return True
 
 
@@ -217,8 +220,8 @@ def echelon_factor(mat) -> FactoredTernary:
     holds the first (pivot) column of each group; the group's reduced row is
     +1 at the pivot and, at every other member, that member's sign relative
     to the pivot, so every column of reduced_rows has at most one nonzero.
-    Grouping, the reproduction check and the independence test run on the
-    integer matrix; FactoredTernary then stores the factors as float64.
+    Grouping and the reproduction check run on the int8 matrix and the
+    independence test on the combiner; FactoredTernary stores them as float64.
     The product reproduces the input exactly.  When the pivot columns are
     independent the reduced rows are the reduced row-echelon form and rank
     is the rational rank.  A matrix whose distinct columns are dependent,
@@ -231,14 +234,14 @@ def echelon_factor(mat) -> FactoredTernary:
     # an argmax over zero rows raises; with no rows there are no columns
     lead = sub[(sub != 0).argmax(axis=0) if t.shape[0] else cols, np.arange(cols.size)]
     groups: dict[bytes, int] = {}
-    keys = np.ascontiguousarray((sub * lead).T, dtype=np.int8)
+    keys = np.ascontiguousarray((sub * lead).T)
     g = np.array([groups.setdefault(k.tobytes(), len(groups)) for k in keys], dtype=np.intp)
     first = np.unique(g, return_index=True)[1]
     combiner = sub[:, first]
     sign = lead * lead[first][g]
     if not (combiner[:, g] * sign == sub).all():
         raise PlanConstructionError("column grouping failed to reproduce the matrix")
-    reduced = np.zeros((first.size, t.shape[1]), dtype=np.int64)
+    reduced = np.zeros((first.size, t.shape[1]), dtype=np.int8)
     reduced[g, cols] = sign
     return FactoredTernary(combiner, reduced, first.size, _independent_columns(combiner))
 
@@ -263,12 +266,14 @@ class Stream:
 class RowTable(NamedTuple):
     """The nonzero entries of ternary matrices stacked row on row: row i
     sums signs[e] * x[cols[e]] over its entries e in bounds[i]:bounds[i + 1],
-    in increasing column order, and rows[e] is the row of entry e."""
+    in increasing column order, and rows[e] is the row of entry e.  terms is
+    every (rows[e], cols[e], signs[e]) in Python ints."""
 
     rows: np.ndarray
     cols: np.ndarray
     signs: np.ndarray
     bounds: np.ndarray
+    terms: tuple[tuple[int, int, int], ...]
 
 
 def _row_table(mats, col_offsets) -> RowTable:
@@ -282,7 +287,8 @@ def _row_table(mats, col_offsets) -> RowTable:
     bounds = np.searchsorted(rows, np.arange(row_offsets[-1] + 1))
     for a in (rows, cols, signs, bounds):
         a.setflags(write=False)
-    return RowTable(rows, cols, signs, bounds)
+    return RowTable(rows, cols, signs, bounds,
+                    tuple(zip(rows.tolist(), cols.tolist(), signs.astype(int).tolist())))
 
 
 class StageTape(NamedTuple):
@@ -292,22 +298,23 @@ class StageTape(NamedTuple):
        intermediate i; stream k's reduced rows are starts[k]:starts[k + 1].
     2. Multipliers: intermediate i times the ROM constant constants[slots[i]]
        (the distinct stream values in order of first appearance), or times
-       nothing where slots[i] is -1, on the unit streams.  scale[i] is that
-       factor as a double, 1.0 for none.
+       nothing where slots[i] is -1, on the unit streams (slot_list in
+       Python ints).  scale[i] is that factor as a double, 1.0 for none.
     3. Combiner adds: row k * order + j of combiners, a signed sum of the
        stacked intermediates, is row j of stream k's combiner.
     4. Stream merge, by _merge_streams in plan order; 5. DHT Re - Im.
 
-    The fixed executor runs stages 1-3 from the tape; exact mode gathers
-    stages 1-2 from inputs and scale; count_ops counts the rows of both
-    tables.  A row takes its terms in increasing column order, which, like
-    the stream order, decides where a narrow accumulator saturates.
+    The fixed executor runs stages 1-3 from terms and slot_list; exact mode
+    gathers stages 1-2 from inputs and scale; count_ops counts the rows of
+    both tables.  A row takes its terms in increasing column order, which,
+    like the stream order, decides where a narrow accumulator saturates.
     """
 
     inputs: RowTable
     starts: tuple[int, ...]
     constants: tuple[float, ...]
     slots: np.ndarray
+    slot_list: tuple[int, ...]
     scale: np.ndarray
     combiners: RowTable
 
@@ -344,36 +351,35 @@ class LaurentPlan:
         for a in (slots, scale):
             a.setflags(write=False)
         return StageTape(_row_table([f.reduced_rows for f in factors], [0] * len(factors)),
-                         tuple(starts.tolist()), constants, slots, scale,
+                         tuple(starts.tolist()), constants, slots, tuple(slots.tolist()), scale,
                          _row_table([f.combiner for f in factors], starts))
 
 
 def build_plan(n: int) -> LaurentPlan:
-    """Assemble and validate the full decomposition for order N."""
-    _require_mod4(n)
-    m0 = build_M(0, n)
-    streams = [Stream("unit", None, echelon_factor(m0.re), "re", +1),
-               Stream("unit", None, echelon_factor(m0.im), "im", +1)]
+    """Assemble and validate the full decomposition for order N from class weights."""
+    n = _require_mod4(n)
+    e, m0 = exponent_matrix(n), _class_weights(0, n)
+    streams = [Stream("unit", None, echelon_factor(m0.re[e]), "re", +1),
+               Stream("unit", None, echelon_factor(m0.im[e]), "im", +1)]
     for m in range(1, (n // 4 - 1) // 2 + 1):
-        pos = build_M(m, n)
-        neg = build_M(-m, n)
+        pos, neg = _class_weights(m, n), _class_weights(-m, n)
         theta = 2 * math.pi * m / n
         cos, sin = f"cos(2*pi*{m}/{n})", f"sin(2*pi*{m}/{n})"
         streams += [
-            Stream(cos, math.cos(theta), echelon_factor(pos.re + neg.re), "re", +1),
-            Stream(cos, math.cos(theta), echelon_factor(pos.im + neg.im), "im", +1),
-            Stream(sin, math.sin(theta), echelon_factor(pos.im - neg.im), "re", +1),
-            Stream(sin, math.sin(theta), echelon_factor(pos.re - neg.re), "im", -1),
+            Stream(cos, math.cos(theta), echelon_factor((pos.re + neg.re)[e]), "re", +1),
+            Stream(cos, math.cos(theta), echelon_factor((pos.im + neg.im)[e]), "im", +1),
+            Stream(sin, math.sin(theta), echelon_factor((pos.im - neg.im)[e]), "re", +1),
+            Stream(sin, math.sin(theta), echelon_factor((pos.re - neg.re)[e]), "im", -1),
         ]
     if n % 8 == 0:
         # w**(N/8) = (1 - j) * sqrt(2)/2, so the class at N/8 contributes
         # sqrt(2)/2 * (Re+Im) to the real part and sqrt(2)/2 * (Im-Re) to the
         # imaginary part.  The symmetric sum over +-m cannot reach this class
         # because m = N/8 is its own negative modulo N/4.
-        mid = build_M(n // 8, n)
+        mid = _class_weights(n // 8, n)
         streams += [
-            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor(mid.re + mid.im), "re", +1),
-            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor(mid.im - mid.re), "im", +1),
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid.re + mid.im)[e]), "re", +1),
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid.im - mid.re)[e]), "im", +1),
         ]
     plan = LaurentPlan(order=n, streams=tuple(streams))
     err = np.abs(reconstruct(plan) - dft_matrix(n)).max()

@@ -5,6 +5,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laurentfft import (
     GaussianIntegerMatrix,
@@ -217,6 +219,22 @@ _INDEPENDENCE_CASES = [
 ]
 
 
+@st.composite
+def _sparse_ternary(draw):
+    """A random sparse ternary matrix.  In about half of them one column is
+    replaced by another times +-1, so their columns are dependent by
+    construction."""
+    rows = draw(st.integers(1, 16))
+    cols = draw(st.integers(1, rows + 2))
+    density = draw(st.sampled_from((0.05, 0.15, 0.3, 0.6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mat = rng.integers(-1, 2, (rows, cols)) * (rng.random((rows, cols)) < density)
+    if cols > 1 and draw(st.booleans()):
+        i, k = rng.choice(cols, 2, replace=False)
+        mat[:, k] = rng.choice((-1, 1)) * mat[:, i]
+    return mat
+
+
 class TestIndependentColumns:
     @pytest.mark.parametrize("mat, independent", [
         pytest.param(np.array(mat, dtype=dtype), independent,
@@ -226,6 +244,13 @@ class TestIndependentColumns:
     def test_against_rank_oracle(self, rank_gauss, mat, independent):
         assert _independent_columns(mat) == independent
         assert independent == (rank_gauss(mat) == mat.shape[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sparse_ternary())
+    def test_sparse_matrices_against_rank_oracle(self, rank_gauss, mat):
+        independent = rank_gauss(mat) == mat.shape[1]
+        assert _independent_columns(mat) == independent
+        assert _independent_columns(mat.astype(np.float64)) == independent
 
     @pytest.mark.parametrize("bad", [0.5, np.nan, np.inf, 1e30])
     def test_non_integral_entries_rejected(self, bad):
@@ -273,6 +298,37 @@ class TestBuildPlan:
         for bad in (10, 6, 2, 0, -4, 15):
             with pytest.raises(UnsupportedLengthError, match=r"N ≡ 0 \(mod 4\)"):
                 build_plan(bad)
+
+    def test_non_integral_lengths_rejected(self):
+        # a float N fails cleanly and leaves nothing behind that breaks the next build
+        for bad in (16.0, 16.5, "16", None):
+            with pytest.raises(UnsupportedLengthError, match="must be an integer"):
+                build_plan(bad)
+        plan = build_plan(np.int64(16))
+        assert type(plan.order) is int
+        assert format_plan(plan) == format_plan(build_plan(16))
+
+    def test_streams_match_the_paper_definition(self):
+        # M_m = sum over l in C_m of (-j)**(4*(l - m)/N) chi_l, from chi and
+        # congruence_class alone; the exponent is an integer, taken mod 4
+        def paper_M(m, n):
+            return sum((-1j) ** (4 * (l - m) // n % 4) * chi(l, n)
+                       for l in congruence_class(m, n))
+
+        for n in range(4, 129, 4):
+            m0 = paper_M(0, n)
+            want = [m0.real, m0.imag]
+            for m in range(1, (n // 4 - 1) // 2 + 1):
+                pos, neg = paper_M(m, n), paper_M(-m, n)
+                want += [(pos + neg).real, (pos + neg).imag,
+                         (pos - neg).imag, (pos - neg).real]
+            if n % 8 == 0:
+                mid = paper_M(n // 8, n)
+                want += [mid.real + mid.imag, mid.imag - mid.real]
+            streams = build_plan(n).streams
+            assert len(streams) == len(want), n
+            for s, mat in zip(streams, want):
+                assert np.array_equal(s.factor.product(), mat), (n, s.label, s.dest)
 
     def test_reconstruction_identity(self):
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
