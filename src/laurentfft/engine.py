@@ -6,10 +6,9 @@ adds, the scalar multipliers, combiner adds, the stream merge
 A select bit chooses Fourier output (Re, Im) or Hartley output (Re - Im).
 Fixed mode runs every stage from the plan's tape in saturating Q-format
 integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
-Exact mode runs in doubles: its input and multiplier stages are one gather
-over the tape, and its output stage is plan._float_pass, which reconstruct
-shares.  The structural operation count, count_ops, is defined with the
-plan and re-exported here.
+Exact mode runs the same tape in doubles: one np.bincount per table, with
+the multipliers between.  The structural operation count, count_ops, is
+defined with the plan and re-exported here.
 """
 
 from __future__ import annotations
@@ -25,12 +24,13 @@ from .fixed import (
     QFormat,
     ROUND_HALF_AWAY,
     ROUNDING_MODES,
+    _index_width,
     fx_add,
     fx_mul,
     fx_sub,
     quantize,
 )
-from .plan import LaurentPlan, OpCount, _float_pass, _merge_streams, count_ops  # noqa
+from .plan import LaurentPlan, OpCount, _merge_streams, count_ops  # noqa
 
 FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport
 
@@ -56,6 +56,7 @@ class FixedConfig:
     def __post_init__(self):
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
+        _index_width(self, "acc_total_bits", "accumulator width")
         if not self.fmt.total_bits <= self.acc_total_bits <= 32:
             raise ValueError(f"accumulator width must lie between the input word's "
                              f"{self.fmt.total_bits} bits and 32, got {self.acc_total_bits}")
@@ -138,12 +139,12 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     select = TransformSelect(select)
     v = _check_input(plan, samples)
     if arith == "exact":
-        # the input and multiplier stages as one gather; bincount adds each
-        # intermediate's terms in their tape order
-        t = plan.tape
+        # each bincount sums a row's terms from 0.0 in their tape order
+        t, c, n = plan.tape, plan.tape.combiners, plan.order
         u = np.bincount(t.inputs.rows, weights=t.inputs.signs * v[t.inputs.cols],
                         minlength=t.scale.size) * t.scale
-        re, im = _float_pass(plan, (u[a:b] for a, b in zip(t.starts, t.starts[1:])))
+        y = np.bincount(c.rows, weights=c.signs * u[c.cols], minlength=len(plan.streams) * n)
+        re, im = _merge_streams(plan, y.reshape(-1, n), np.add, np.subtract)
         return TransformResult(select, re - im if select is TransformSelect.DHT else re + 1j * im)
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)

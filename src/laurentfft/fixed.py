@@ -20,6 +20,15 @@ ROUND_TRUNCATE = "truncate"
 ROUNDING_MODES = (ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE)
 
 
+def _index_width(obj, field: str, name: str) -> None:
+    """Store obj.field as an int; a width such as 7.5 or 16.0 is a ValueError naming it."""
+    bits = getattr(obj, field)
+    try:
+        object.__setattr__(obj, field, operator.index(bits))
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {bits!r}") from None
+
+
 @dataclass(frozen=True)
 class QFormat:
     """Word layout: total bits including sign, fraction bits.  scale,
@@ -29,6 +38,8 @@ class QFormat:
     frac_bits: int = 7
 
     def __post_init__(self):
+        for field in ("total_bits", "frac_bits"):
+            _index_width(self, field, f"QFormat {field}")
         if not 1 <= self.frac_bits < self.total_bits <= 32:
             raise ValueError(
                 "QFormat requires 1 <= frac_bits < total_bits <= 32, "

@@ -23,10 +23,9 @@ A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
 LaurentPlan.tape lowers the streams once, on first use, to the device's
-stages; StageTape says which walker reads which of its tables.  The merge
-rule lives in _merge_streams alone, over the streams.  Only format_plan and
-the output stage that exact mode shares with reconstruct (_float_pass) read
-the dense factors.
+stages; both executors and count_ops read its two tables.  The merge rule
+lives in _merge_streams alone, over the streams.  Only reconstruct and
+format_plan read the dense int8 factors.
 
 Every built plan is checked against the direct DFT matrix before it is
 returned; a plan that fails to reconstruct is a construction bug, not a
@@ -49,10 +48,10 @@ RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
 # fails at once instead of building for long.  The slowest build is not the
 # largest: on one CPU of a 2-vCPU Xeon machine (Python 3.11, numpy 2.4),
-# build_plan(256) takes 0.09-0.12 s at 49 MB peak RSS, build_plan(512)
-# 0.66-0.97 s at 162 MB, and build_plan(508) 1.7-2.6 s at 294 MB, 246 MB of
-# it the plan's float64 factors, whose ranks sum to 31760 against 14576 at
-# N = 512.  The spread follows the machine's load.
+# build_plan(256) takes 0.09-0.13 s at 36 MB peak RSS, build_plan(512)
+# 0.61-0.66 s at 62 MB, and build_plan(508) 2.1-2.2 s at 83 MB, 32 MB of it
+# the plan's int8 factors, whose ranks sum to 31760 against 14576 at N = 512.
+# The spread follows the machine's load.
 MAX_ORDER = 512
 # Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
@@ -148,12 +147,9 @@ def _as_ternary(mat: np.ndarray) -> np.ndarray:
 class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
-    Both factors are stored as read-only float64 copies whose entries are
-    exactly -1, 0 and +1: float64 is the dtype the float pass applies the
-    combiner in and reconstruct scales the reduced rows in, so no call
-    converts them again; the executors and count_ops read their nonzero
-    entries from LaurentPlan.tape.  Every product of them is a small integer and
-    exact in float64; product() returns T as int64.  rank is the inner
+    Both factors are the read-only int8 arrays that echelon_factor builds;
+    the executors and count_ops read their nonzero entries from
+    LaurentPlan.tape.  product() returns T as int64.  rank is the inner
     dimension, i.e. how many intermediate values a scalar weight must
     multiply: one per group of columns of T that are equal up to sign.  At
     rank 0 the factors are (rows, 0) and (0, cols) arrays, so every product
@@ -167,14 +163,9 @@ class FactoredTernary:
     rank: int
     optimal: bool = True
 
-    def __post_init__(self):
-        for name in ("combiner", "reduced_rows"):
-            mat = np.array(getattr(self, name), dtype=np.float64, order="C")
-            mat.setflags(write=False)
-            object.__setattr__(self, name, mat)
-
     def product(self) -> np.ndarray:
-        return (self.combiner @ self.reduced_rows).astype(np.int64)
+        # in doubles, exact on these small integers, as numpy's int matmul has no BLAS
+        return (self.combiner @ self.reduced_rows.astype(np.float64)).astype(np.int64)
 
 
 def _independent_columns(mat: np.ndarray) -> bool:
@@ -221,7 +212,7 @@ def echelon_factor(mat) -> FactoredTernary:
     +1 at the pivot and, at every other member, that member's sign relative
     to the pivot, so every column of reduced_rows has at most one nonzero.
     Grouping and the reproduction check run on the int8 matrix and the
-    independence test on the combiner; FactoredTernary stores them as float64.
+    independence test on the combiner; FactoredTernary keeps them in int8.
     The product reproduces the input exactly.  When the pivot columns are
     independent the reduced rows are the reduced row-echelon form and rank
     is the rational rank.  A matrix whose distinct columns are dependent,
@@ -243,6 +234,8 @@ def echelon_factor(mat) -> FactoredTernary:
         raise PlanConstructionError("column grouping failed to reproduce the matrix")
     reduced = np.zeros((first.size, t.shape[1]), dtype=np.int8)
     reduced[g, cols] = sign
+    for a in (combiner, reduced):
+        a.setflags(write=False)
     return FactoredTernary(combiner, reduced, first.size, _independent_columns(combiner))
 
 
@@ -263,17 +256,17 @@ class Stream:
     sign: int
 
 
-class RowTable(NamedTuple):
+class RowTable(NamedTuple("RowTable", [("rows", np.ndarray), ("cols", np.ndarray),
+                                       ("signs", np.ndarray), ("bounds", np.ndarray)])):
     """The nonzero entries of ternary matrices stacked row on row: row i
     sums signs[e] * x[cols[e]] over its entries e in bounds[i]:bounds[i + 1],
     in increasing column order, and rows[e] is the row of entry e.  terms is
-    every (rows[e], cols[e], signs[e]) in Python ints."""
+    every (rows[e], cols[e], signs[e]) in Python ints, for the fixed executor
+    alone; it is cached on first use in the instance dict this subclass has."""
 
-    rows: np.ndarray
-    cols: np.ndarray
-    signs: np.ndarray
-    bounds: np.ndarray
-    terms: tuple[tuple[int, int, int], ...]
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.signs.astype(int).tolist()))
 
 
 def _row_table(mats, col_offsets) -> RowTable:
@@ -287,8 +280,7 @@ def _row_table(mats, col_offsets) -> RowTable:
     bounds = np.searchsorted(rows, np.arange(row_offsets[-1] + 1))
     for a in (rows, cols, signs, bounds):
         a.setflags(write=False)
-    return RowTable(rows, cols, signs, bounds,
-                    tuple(zip(rows.tolist(), cols.tolist(), signs.astype(int).tolist())))
+    return RowTable(rows, cols, signs, bounds)
 
 
 class StageTape(NamedTuple):
@@ -305,9 +297,10 @@ class StageTape(NamedTuple):
     4. Stream merge, by _merge_streams in plan order; 5. DHT Re - Im.
 
     The fixed executor runs stages 1-3 from terms and slot_list; exact mode
-    gathers stages 1-2 from inputs and scale; count_ops counts the rows of
-    both tables.  A row takes its terms in increasing column order, which,
-    like the stream order, decides where a narrow accumulator saturates.
+    runs them as one bincount per table, times scale between; count_ops
+    counts the rows of both tables.  A row takes its terms in increasing
+    column order, which, like the stream order, decides where a narrow
+    accumulator saturates.
     """
 
     inputs: RowTable
@@ -401,20 +394,12 @@ def _merge_streams(plan: LaurentPlan, outputs, add, sub):
     return acc["re"], acc["im"]
 
 
-def _float_pass(plan: LaurentPlan, scaled) -> tuple[np.ndarray, np.ndarray]:
-    """(re, im) in doubles: the output stage, combiner @ x for each stream's
-    scaled intermediates x (value * (reduced_rows @ v)), taken in plan order
-    and merged by _merge_streams."""
-    return _merge_streams(plan, (s.factor.combiner @ x for s, x in zip(plan.streams, scaled)),
-                          operator.iadd, operator.isub)
-
-
 def reconstruct(plan: LaurentPlan) -> np.ndarray:
-    """The complex matrix the plan represents: the float pass on the identity,
-    whose scaled intermediates are value * reduced_rows, so build_plan's
-    self-check runs exact mode's output stage."""
-    re, im = _float_pass(plan, (s.factor.reduced_rows if s.value is None
-                                else s.value * s.factor.reduced_rows for s in plan.streams))
+    """The complex matrix the plan represents: each stream's combiner @
+    (value * reduced_rows) in doubles, merged by _merge_streams."""
+    scaled = (s.factor.reduced_rows * (1.0 if s.value is None else s.value) for s in plan.streams)
+    re, im = _merge_streams(plan, (s.factor.combiner @ x for s, x in zip(plan.streams, scaled)),
+                            operator.iadd, operator.isub)
     return re + 1j * im
 
 

@@ -121,25 +121,33 @@ class TestExactMode:
                 out = execute(exact_plans[n], v, TransformSelect.DFT, "exact")
                 assert np.abs(out.values - dft_direct(v)).max() < 1e-9, n
 
-    def test_input_stage_matches_reduced_rows(self, exact_plans, monkeypatch):
-        # on integer samples every sum is exact, so the gather over the tape's
-        # input table must hand the output stage each stream's
-        # value * (reduced_rows @ v) bit for bit, whatever the order
+    def test_stages_match_dense_factors(self, exact_plans, monkeypatch):
+        # on integer samples every input-stage sum is exact, so exact mode
+        # must hand the merge each stream's combiner rows applied to
+        # value * (reduced_rows @ v), each row summed from 0.0 in increasing
+        # column order, bit for bit: both stages against the dense factors
         handed = []
 
-        def output_stage(plan, scaled):
-            handed[:] = list(scaled)
-            return float_pass(plan, handed)
+        def merge(plan, outputs, add, sub):
+            outputs = list(outputs)
+            handed[:] = [y.copy() for y in outputs]  # before a merge that may add in place
+            return merge_streams(plan, outputs, add, sub)
 
-        float_pass = engine._float_pass
-        monkeypatch.setattr(engine, "_float_pass", output_stage)
+        merge_streams = engine._merge_streams
+        monkeypatch.setattr(engine, "_merge_streams", merge)
         rng = np.random.default_rng(44)
         for n, plan in exact_plans.items():
             v = rng.integers(-1000, 1001, size=n).astype(float)
             execute(plan, v, TransformSelect.DFT, "exact")
-            for s, u in zip(plan.streams, handed, strict=True):
-                want = s.factor.reduced_rows @ v
-                assert np.array_equal(u, want if s.value is None else s.value * want), n
+            for s, y in zip(plan.streams, handed, strict=True):
+                x = s.factor.reduced_rows @ v
+                if s.value is not None:
+                    x = s.value * x
+                want = np.zeros(n)
+                # a zero term adds +-0.0, which leaves a sum begun at 0.0 unchanged
+                for j, column in enumerate(s.factor.combiner.T):
+                    want = want + column * x[j]
+                assert y.tobytes() == want.tobytes(), (n, s.label, s.dest)
 
     def test_hartley_is_re_minus_im(self, plan16):
         rng = np.random.default_rng(42)
@@ -182,13 +190,12 @@ class TestExactMode:
         out = execute(plan16, RAMP2, "dht", "exact")
         assert out.select is TransformSelect.DHT
 
-    def test_self_check_covers_exact_mode(self):
-        # reconstruct feeds exact mode's output stage value * reduced_rows,
-        # the scaled intermediates of the identity, so build_plan's self-check
-        # vouches for the output stage; the input stage is checked against the
-        # reduced rows in test_input_stage_matches_reduced_rows
-        for n in range(4, 65, 4):
-            plan = build_plan(n)
+    def test_self_check_covers_exact_mode(self, exact_plans):
+        # build_plan's self-check runs reconstruct on the dense factors, and
+        # exact mode runs the tape.  On a basis vector every sum of either
+        # stage has at most one nonzero term, so exact mode must give each
+        # reconstruct column exactly; this ties it to the checked factors
+        for n, plan in exact_plans.items():
             rec = reconstruct(plan)
             for k, e_k in enumerate(np.eye(n)):
                 out = execute(plan, e_k, "dft", "exact")
@@ -298,9 +305,10 @@ class TestFixedConfig:
         with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
             FixedConfig(rounding="bogus")
 
-    @pytest.mark.parametrize("bits", [15, 33])
+    @pytest.mark.parametrize("bits", [15, 33, 20.0])
     def test_accumulator_width_rejected_at_construction(self, bits):
-        # narrower than the 16-bit word, or wider than a QFormat can be
+        # narrower than the 16-bit word, wider than a QFormat can be, or
+        # not an integer
         with pytest.raises(ValueError, match=rf"accumulator width .* got {bits}"):
             FixedConfig(acc_total_bits=bits)
 
@@ -310,6 +318,7 @@ class TestFixedConfig:
         assert cfg.acc_fmt == QFormat(18, 7)
         assert cfg == FixedConfig(acc_total_bits=18)
         assert hash(cfg) == hash(FixedConfig(acc_total_bits=18))
+        assert FixedConfig(acc_total_bits=np.int64(18)) == cfg
 
 
 class TestCountOps:

@@ -51,6 +51,12 @@ class TestQFormat:
             QFormat(40, 7)
         with pytest.raises(ValueError):
             QFormat(8, 0)
+        # in range but not integers: a ValueError that names the field
+        with pytest.raises(ValueError, match="frac_bits must be an integer, got 7.5"):
+            QFormat(16, 7.5)
+        with pytest.raises(ValueError, match="total_bits must be an integer, got 16.0"):
+            QFormat(16.0, 7)
+        assert QFormat(np.int64(16), np.int64(7)) == QFormat(16, 7)
 
 
 class TestQuantize:

@@ -407,13 +407,13 @@ class TestBuildPlan:
                 assert (tape.scale[a:b] == (1.0 if s.value is None else s.value)).all()
 
     def test_plan_matrices_are_read_only(self):
-        # the storage contract: read-only float64 factors with ternary entries,
+        # the storage contract: read-only int8 factors with ternary entries,
         # one nonzero at most per reduced_rows column, and an int64 product
         for n in [*range(4, 129, 4), 256]:
             for s in build_plan(n).streams:
                 f = s.factor
                 for mat in (f.combiner, f.reduced_rows):
-                    assert mat.dtype == np.float64 and not mat.flags.writeable, (n, s.label)
+                    assert mat.dtype == np.int8 and not mat.flags.writeable, (n, s.label)
                     assert np.isin(mat, (-1, 0, 1)).all(), (n, s.label)
                     with pytest.raises(ValueError):
                         mat[0, 0] = 5
