@@ -135,17 +135,25 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     it.  arith is the string "exact" for double-precision evaluation or a
     FixedConfig for bit-exact device arithmetic.  Fixed-mode overflow does
     not raise; the result carries the sticky flag and the caller decides.
+    Exact mode raises ValueError, naming the largest |sample|, where finite
+    samples give a transform that overflows float64.
     """
     select = TransformSelect(select)
     v = _check_input(plan, samples)
     if arith == "exact":
         # each bincount sums a row's terms from 0.0 in their tape order
         t, c, n = plan.tape, plan.tape.combiners, plan.order
-        u = np.bincount(t.inputs.rows, weights=t.inputs.signs * v[t.inputs.cols],
-                        minlength=t.scale.size) * t.scale
-        y = np.bincount(c.rows, weights=c.signs * u[c.cols], minlength=len(plan.streams) * n)
-        re, im = _merge_streams(plan, y.reshape(-1, n), np.add, np.subtract)
-        return TransformResult(select, re - im if select is TransformSelect.DHT else re + 1j * im)
+        with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bin raises below
+            u = np.bincount(t.inputs.rows, weights=t.inputs.signs * v[t.inputs.cols],
+                            minlength=t.scale.size) * t.scale
+            y = np.bincount(c.rows, weights=c.signs * u[c.cols], minlength=len(plan.streams) * n)
+            re, im = _merge_streams(plan, y.reshape(-1, n), np.add, np.subtract)
+            values = re - im if select is TransformSelect.DHT else re + 1j * im
+        if not np.isfinite(values).all():
+            i = int(np.argmax(np.abs(v)))
+            raise ValueError(f"exact transform overflows float64: largest |sample| is "
+                             f"sample {i} = {v[i]}")
+        return TransformResult(select, values)
     if isinstance(arith, FixedConfig):
         return _execute_fixed(plan, v, select, arith)
     raise ValueError(f"arith must be 'exact' or a FixedConfig, got {arith!r}")

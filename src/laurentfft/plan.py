@@ -17,7 +17,10 @@ T = C @ R by grouping its columns that are equal up to sign: C holds the
 first column of each group and R the +-1 that places it in every member,
 so the scalar multiplies just one intermediate value per group.  In every
 plan matrix the groups' first columns are linearly independent, so that
-count is rank(T) and R is the reduced row-echelon form of T.
+count is rank(T) and R is the reduced row-echelon form of T.  A factor
+stores only C and R: its rank is the width of C, and whether that rank is
+optimal (C's columns independent) is computed on first read and cached, so
+building a plan does not run the independence test.
 
 A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
@@ -47,13 +50,14 @@ from .reference import dft_matrix
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
 # fails at once instead of building for long.  The slowest build is not the
-# largest: on one CPU of a 2-vCPU Xeon machine (Python 3.11, numpy 2.4),
-# build_plan(256) takes 0.09-0.13 s at 36 MB peak RSS, build_plan(512)
-# 0.61-0.66 s at 62 MB, and build_plan(508) 2.1-2.2 s at 83 MB, 32 MB of it
-# the plan's int8 factors, whose ranks sum to 31760 against 14576 at N = 512.
-# The spread follows the machine's load.
+# largest: on one pinned CPU of a 2-vCPU Xeon machine (Python 3.11, numpy
+# 2.4), build_plan(256) takes 0.10 s at 36 MB peak RSS, build_plan(512)
+# 0.70-0.79 s at 61-62 MB, and build_plan(508) 0.90-1.15 s at 83 MB, 32 MB of
+# it the plan's int8 factors, whose ranks sum to 31760 against 14576 at
+# N = 512.  The first read of plan.optimal then adds 0.98-1.08 s at N = 508
+# and under 0.06 s at 512.  The spread follows the machine's load.
 MAX_ORDER = 512
-# Prime for the independence test in echelon_factor; (P - 1)**2 fits int64.
+# Prime for the independence test behind FactoredTernary.optimal; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
 
 
@@ -147,21 +151,28 @@ def _as_ternary(mat: np.ndarray) -> np.ndarray:
 class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
-    Both factors are the read-only int8 arrays that echelon_factor builds;
-    the executors and count_ops read their nonzero entries from
-    LaurentPlan.tape.  product() returns T as int64.  rank is the inner
-    dimension, i.e. how many intermediate values a scalar weight must
-    multiply: one per group of columns of T that are equal up to sign.  At
-    rank 0 the factors are (rows, 0) and (0, cols) arrays, so every product
-    with them is a correctly shaped zero.  optimal is True when the
+    The two factors are all it stores: the read-only int8 arrays that
+    echelon_factor builds.  The executors and count_ops read their nonzero
+    entries from LaurentPlan.tape.  product() returns T as int64.  rank is
+    the inner dimension, i.e. how many intermediate values a scalar weight
+    must multiply: one per group of columns of T that are equal up to sign.
+    At rank 0 the factors are (rows, 0) and (0, cols) arrays, so every
+    product with them is a correctly shaped zero.  optimal is True when the
     combiner columns are linearly independent, so that rank is the rational
-    rank of T; otherwise rank exceeds it.
+    rank of T; otherwise rank exceeds it.  It is computed on first read and
+    cached, so building a plan does not pay for the independence test.
     """
 
     combiner: np.ndarray
     reduced_rows: np.ndarray
-    rank: int
-    optimal: bool = True
+
+    @property
+    def rank(self) -> int:
+        return self.combiner.shape[1]
+
+    @functools.cached_property
+    def optimal(self) -> bool:
+        return _independent_columns(self.combiner)
 
     def product(self) -> np.ndarray:
         # in doubles, exact on these small integers, as numpy's int matmul has no BLAS
@@ -211,13 +222,14 @@ def echelon_factor(mat) -> FactoredTernary:
     holds the first (pivot) column of each group; the group's reduced row is
     +1 at the pivot and, at every other member, that member's sign relative
     to the pivot, so every column of reduced_rows has at most one nonzero.
-    Grouping and the reproduction check run on the int8 matrix and the
-    independence test on the combiner; FactoredTernary keeps them in int8.
-    The product reproduces the input exactly.  When the pivot columns are
-    independent the reduced rows are the reduced row-echelon form and rank
-    is the rational rank.  A matrix whose distinct columns are dependent,
-    such as [[1, 0, 1], [0, 1, 1]], keeps one row per group and is flagged
-    non-optimal (rank 3 there, against a rational rank of 2).
+    Grouping and the reproduction check run on the int8 matrix, and
+    FactoredTernary keeps both factors in int8.  The product reproduces the
+    input exactly.  When the pivot columns are independent the reduced rows
+    are the reduced row-echelon form and rank is the rational rank.  A
+    matrix whose distinct columns are dependent, such as
+    [[1, 0, 1], [0, 1, 1]], keeps one row per group and reads non-optimal
+    (rank 3 there, against a rational rank of 2).  The independence test
+    behind optimal runs on the combiner when optimal is first read, not here.
     """
     t = _as_ternary(mat)
     cols = np.flatnonzero(t.any(axis=0))
@@ -236,7 +248,7 @@ def echelon_factor(mat) -> FactoredTernary:
     reduced[g, cols] = sign
     for a in (combiner, reduced):
         a.setflags(write=False)
-    return FactoredTernary(combiner, reduced, first.size, _independent_columns(combiner))
+    return FactoredTernary(combiner, reduced)
 
 
 @dataclass(frozen=True, eq=False)

@@ -1,6 +1,7 @@
 """Command-line behavior, exercised through main() for real exit codes."""
 
 import os
+import warnings
 
 import numpy as np
 import pytest
@@ -151,6 +152,20 @@ class TestTransform:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith("error: sample 2 ")
+
+    @pytest.mark.parametrize("select", ["dft", "dht"])
+    @pytest.mark.parametrize("runtime_warnings", ["default", "error"])
+    def test_exact_float64_overflow_is_one_error_line(self, capsys, tmp_path, select,
+                                                      runtime_warnings):
+        path = tmp_path / "huge.csv"
+        path.write_text("1e308\n" * 16)
+        with warnings.catch_warnings():
+            warnings.simplefilter(runtime_warnings, RuntimeWarning)
+            code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "exact",
+                                     "--select", select, "--input", str(path))
+        assert (code, out) == (1, "")
+        assert len(err.splitlines()) == 1
+        assert err.startswith("error: exact transform overflows float64")
 
     def test_output_file_and_determinism(self, capsys, ramp_file, tmp_path):
         out_a, out_b = tmp_path / "a.txt", tmp_path / "b.txt"

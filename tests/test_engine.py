@@ -1,6 +1,7 @@
 """Engine behavior: agreement with the direct oracle, bit-exact device
 arithmetic on the golden 16-point vector, and structural op counts."""
 
+import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 
@@ -148,6 +149,27 @@ class TestExactMode:
                 for j, column in enumerate(s.factor.combiner.T):
                     want = want + column * x[j]
                 assert y.tobytes() == want.tobytes(), (n, s.label, s.dest)
+
+    @pytest.mark.parametrize("select", ["dft", "dht"])
+    def test_float64_overflow_raises_without_warnings(self, plan16, select):
+        # finite samples whose transform overflows float64: one ValueError
+        # naming the largest |sample|, and no numpy floating-point warning
+        v = [1e308] * 16
+        v[5] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"largest \|sample\| is sample 5 = -1\.7e\+308"):
+                execute(plan16, v, select, "exact")
+
+    def test_hartley_only_overflow_raises(self, plan16):
+        # Re and Im of a*e_1 stay finite, but Re - Im reaches a*sqrt(2)
+        v = np.zeros(16)
+        v[1] = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(execute(plan16, v, "dft", "exact").values).all()
+            with pytest.raises(ValueError, match=r"sample 1 = 1\.5e\+308"):
+                execute(plan16, v, "dht", "exact")
 
     def test_hartley_is_re_minus_im(self, plan16):
         rng = np.random.default_rng(42)

@@ -1,6 +1,7 @@
 """Decomposition construction: indicator matrices, class matrices, ternary
 factorizations and the reconstruction identity."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -9,8 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from laurentfft import (
+    FactoredTernary,
     GaussianIntegerMatrix,
+    LaurentPlan,
     PlanConstructionError,
+    Stream,
     UnsupportedLengthError,
     build_M,
     build_plan,
@@ -22,6 +26,7 @@ from laurentfft import (
     format_plan,
     reconstruct,
 )
+from laurentfft import plan as plan_module
 from laurentfft.plan import _independent_columns
 
 RAMP2 = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7], dtype=float)
@@ -201,6 +206,58 @@ class TestEchelonFactor:
                 pivots = [int(np.flatnonzero(row)[0]) for row in r]
                 assert pivots == sorted(pivots)
                 assert (r[:, pivots] == np.eye(len(pivots), dtype=int)).all()
+
+
+class TestDerivedFactorAttributes:
+    """A factor stores its two matrices only: rank is their inner dimension,
+    and optimal runs the independence test on first read, then is cached."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        made = []
+
+        def counting(mat):
+            made.append(mat)
+            return _independent_columns(mat)
+
+        monkeypatch.setattr(plan_module, "_independent_columns", counting)
+        return made
+
+    def test_only_the_factors_are_fields(self):
+        names = [f.name for f in dataclasses.fields(FactoredTernary)]
+        assert names == ["combiner", "reduced_rows"]
+
+    @pytest.mark.parametrize("n", [16, 64, 128])
+    def test_build_plan_runs_no_independence_test(self, calls, n):
+        build_plan(n)
+        assert calls == []
+
+    def test_optimal_is_computed_once_per_stream(self, calls):
+        plan = build_plan(64)
+        assert plan.optimal
+        assert len(calls) == len(plan.streams)
+        assert all(c is s.factor.combiner for c, s in zip(calls, plan.streams))
+        assert plan.optimal and all(s.factor.optimal for s in plan.streams)
+        assert len(calls) == len(plan.streams)
+
+    def test_rank_is_the_inner_dimension(self):
+        for n in range(4, 65, 4):
+            for s in build_plan(n).streams:
+                f = s.factor
+                assert f.rank == f.combiner.shape[1] == f.reduced_rows.shape[0], (n, s.label)
+
+    def test_dependent_columns_read_non_optimal(self):
+        f = echelon_factor(np.array([[1, 0, 1], [0, 1, 1]]))
+        assert f.rank == 3 and not f.optimal
+        # the same matrix in a padded plan: the dump marks it, the plan reads non-optimal
+        t = np.zeros((16, 16), dtype=int)
+        t[:2, :3] = [[1, 0, 1], [0, 1, 1]]
+        dependent = Stream("dep", 0.5, echelon_factor(t), "im", -1)
+        padded = LaurentPlan(16, build_plan(16).streams + (dependent,))
+        assert not padded.optimal
+        text = format_plan(padded)
+        assert text.count("[non-optimal factorization]") == 1
+        assert "  im path (subtracted) rank 3  [non-optimal factorization]" in text
 
 
 _INDEPENDENCE_CASES = [
