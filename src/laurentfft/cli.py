@@ -16,7 +16,7 @@ import sys
 
 import numpy as np
 
-from .engine import FixedConfig, TransformSelect, execute
+from .engine import FixedConfig, TransformSelect, _check_input, execute
 from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
 from .memory import (_overwrite_text, _read_ascii_lines, load_stimulus, pack_output, run_device,
                      write_output_words)
@@ -55,11 +55,9 @@ def _format_values(result, fmt: str):
             return ["k,re,im"] + [f"{k},{v.real:.10g},{v.imag:.10g}"
                                   for k, v in enumerate(result.values)]
         return ["k,h"] + [f"{k},{v:.10g}" for k, v in enumerate(result.values)]
-    if fmt == "hex":
-        if result.real_raw is None:
-            raise CliError("hex output requires fixed arithmetic")
-        return [format(w, "08X") for w in pack_output(result)]
-    raise CliError(f"unknown output format {fmt!r}")
+    if result.real_raw is None:  # "hex": argparse's choices allow no other format
+        raise CliError("hex output requires fixed arithmetic")
+    return [format(w, "08X") for w in pack_output(result)]
 
 
 def _saturates(x: float, cfg: FixedConfig) -> bool:
@@ -79,10 +77,7 @@ def _cmd_transform(args) -> int:
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
         # probe the samples before paying for the transform
-        finite = np.isfinite(samples)
-        if not finite.all():
-            i = int(np.argmin(finite))
-            raise CliError(f"sample {i} = {samples[i]!r} is not a finite number")
+        _check_input(plan, samples)  # names a non-finite sample
         # quantize is monotone in x, so no sample saturates unless the
         # smallest or the largest does; only then scan for the first one
         if _saturates(min(samples), arith) or _saturates(max(samples), arith):

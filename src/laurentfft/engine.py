@@ -81,7 +81,11 @@ class TransformResult:
 def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
     if np.iscomplexobj(samples):
         raise ValueError("samples must be real")
-    v = np.asarray(samples, dtype=np.float64)
+    try:
+        v = np.asarray(samples, dtype=np.float64)
+    except OverflowError:  # an int or Fraction that rounds past the largest double
+        i = next(i for i, s in enumerate(samples) if abs(s) >= 2**1024 - 2**970)
+        raise ValueError(f"sample {i} does not fit in float64") from None
     if v.ndim != 1 or v.size != plan.order:
         raise ValueError(f"signal length {v.shape} does not match plan order {plan.order}")
     bad = np.flatnonzero(~np.isfinite(v))
@@ -163,44 +167,41 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
 class QuantizationReport:
     """Componentwise fixed-vs-exact comparison over the significant bins.
 
-    Components (Re/Im per bin for DFT, H per bin for DHT) whose exact
-    magnitude is below FLOOR_FRAC * peak are left out of the maximum: the
-    device error is a fixed absolute quantity, so ratios against near-zero
-    components measure nothing about the arithmetic.  max_rel_error is the
-    worst included ratio and dominant_bins the bin indices attaining it.
+    entries holds (bin, component, exact, fixed, rel) for each component
+    (Re/Im per bin for DFT, H for DHT) whose exact magnitude is above floor
+    = FLOOR_FRAC * peak: the device error is a fixed absolute quantity, so
+    ratios against near-zero components measure nothing about the
+    arithmetic.  max_rel_error, the worst rel (0.0 with no entries), and
+    dominant_bins, the bins attaining it, are read from the entries.
     """
 
-    max_rel_error: float
-    dominant_bins: tuple[int, ...]
     floor: float
     entries: tuple[tuple[int, str, float, float, float], ...]
+
+    @property
+    def max_rel_error(self) -> float:
+        return max((rel for *_, rel in self.entries), default=0.0)
+
+    @property
+    def dominant_bins(self) -> tuple[int, ...]:
+        worst = self.max_rel_error
+        return tuple(sorted({k for k, *_, rel in self.entries
+                             if rel >= worst * (1 - 1e-12) and worst > 0}))
 
 
 def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = None,
                         select: TransformSelect = TransformSelect.DFT) -> QuantizationReport:
-    """Maximum relative error of the fixed-point run against the exact run."""
+    """Relative error of the fixed-point run against the exact run."""
     select = TransformSelect(select)
-    cfg = cfg or FixedConfig()
-    exact = execute(plan, samples, select, "exact")
-    fixed = execute(plan, samples, select, cfg)
+    exact = execute(plan, samples, select, "exact").values
+    fixed = execute(plan, samples, select, cfg or FixedConfig()).values
+    names = ["h"]
     if select is TransformSelect.DFT:
-        components = [(k, "re", exact.values[k].real, fixed.values[k].real)
-                      for k in range(plan.order)]
-        components += [(k, "im", exact.values[k].imag, fixed.values[k].imag)
-                       for k in range(plan.order)]
-    else:
-        components = [(k, "h", float(exact.values[k]), float(fixed.values[k]))
-                      for k in range(plan.order)]
-
-    peak = max(abs(e) for _, _, e, _ in components)
-    floor = FLOOR_FRAC * peak
-    entries = []
-    for k, name, e, f in components:
-        if abs(e) > floor:
-            entries.append((k, name, e, f, abs(f - e) / abs(e)))
-    if not entries:
-        return QuantizationReport(0.0, (), floor, ())
-    worst = max(rel for *_, rel in entries)
-    dominant = tuple(sorted({k for k, *_, rel in entries
-                             if rel >= worst * (1 - 1e-12) and worst > 0}))
-    return QuantizationReport(worst, dominant, floor, tuple(entries))
+        names = ["re", "im"]
+        exact, fixed = (np.concatenate([z.real, z.imag]) for z in (exact, fixed))
+    floor = FLOOR_FRAC * float(np.abs(exact).max())
+    keep = np.abs(exact) > floor
+    k, name, e, f = (c[keep] for c in (np.tile(np.arange(plan.order), len(names)),
+                                       np.repeat(names, plan.order), exact, fixed))
+    rel = np.abs(f - e) / np.abs(e)
+    return QuantizationReport(floor, tuple(zip(*(c.tolist() for c in (k, name, e, f, rel)))))

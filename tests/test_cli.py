@@ -64,14 +64,37 @@ class TestTransform:
         assert lines[2] == "FC0009B0"
         assert lines[0] == "1C000000"
 
-    def test_csv_format(self, capsys, ramp_file):
-        code, out, _ = run_cli(capsys, "transform", "--n", "16", "--select", "dht",
+    @pytest.mark.parametrize("select, header, bin2", [("dht", "k,h", "2,-27.375"),
+                                                      ("dft", "k,re,im", "2,-8,19.375")],
+                             ids=["dht", "dft"])
+    def test_csv_format(self, capsys, ramp_file, select, header, bin2):
+        code, out, _ = run_cli(capsys, "transform", "--n", "16", "--select", select,
                                "--arith", "fixed", "--input", str(ramp_file),
                                "--format", "csv")
         assert code == 0
         lines = out.splitlines()
-        assert lines[0] == "k,h"
-        assert lines[3] == "2,-27.375"
+        assert lines[0] == header
+        assert lines[3] == bin2
+
+    def test_hex_format_needs_fixed_arithmetic(self, capsys, ramp_file):
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "exact",
+                                 "--input", str(ramp_file), "--format", "hex")
+        assert (code, out) == (1, "")
+        assert err == "error: hex output requires fixed arithmetic\n"
+
+    def test_malformed_sample_names_line(self, capsys, tmp_path):
+        path = tmp_path / "samples.csv"
+        path.write_text("0.5\n1.0, 2.0\n3.0 x4\n")
+        code, out, err = run_cli(capsys, "transform", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:3: not a number: 'x4'\n"
+
+    def test_sample_file_without_samples(self, capsys, tmp_path):
+        path = tmp_path / "blank.csv"
+        path.write_text("\n  \n,\n")
+        code, out, err = run_cli(capsys, "transform", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}: no samples found\n"
 
     def test_unsupported_length(self, capsys, tmp_path):
         path = tmp_path / "ten.csv"
@@ -238,6 +261,18 @@ class TestTestbench:
         code, _, _ = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
         assert code == 0
         assert out_path.read_text().splitlines()[2] == "0000F250"
+
+    def test_saturated_words_written_with_warning(self, capsys, tmp_path):
+        # sixteen samples of 255.0: bin 0 is 4080, which the 16-bit output
+        # half saturates to 7FFF
+        stim = tmp_path / "stim.txt"
+        stim.write_text("\n".join(["SELECT DFT"] + ["7F80"] * 16) + "\n")
+        out_path = tmp_path / "words.hex"
+        code, out, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
+        assert code == 0
+        assert out == f"wrote 16 output words to {out_path}\n"
+        assert out_path.read_text().splitlines() == ["7FFF0000"] + ["00000000"] * 15
+        assert err == "warning: fixed-point overflow occurred (results saturated)\n"
 
     def test_default_output_path(self, capsys, tmp_path):
         stim = tmp_path / "stim.txt"

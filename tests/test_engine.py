@@ -196,7 +196,9 @@ class TestExactMode:
 
     def test_non_finite_sample_names_index(self, plan16):
         for arith in ("exact", FixedConfig()):
-            for bad in (float("inf"), float("-inf"), float("nan")):
+            # 2**1024 - 2**970 is the least int that float() cannot round
+            for bad in (float("inf"), float("-inf"), float("nan"), 10**400, -10**400,
+                        2**1024 - 2**970):
                 v = [0.0] * 16
                 v[5] = bad
                 with pytest.raises(ValueError, match="sample 5 "):
@@ -433,6 +435,37 @@ class TestCountOps:
         assert count_ops(build_plan(16)) == a
 
 
+def _report_oracle(plan, samples, cfg, select):
+    """The report computed by walking every component as Python tuples, the
+    reference for quantization_report: (max_rel_error, dominant_bins, floor,
+    entries)."""
+    exact = execute(plan, samples, select, "exact")
+    fixed = execute(plan, samples, select, cfg)
+    if select is TransformSelect.DFT:
+        components = [(k, "re", exact.values[k].real, fixed.values[k].real)
+                      for k in range(plan.order)]
+        components += [(k, "im", exact.values[k].imag, fixed.values[k].imag)
+                       for k in range(plan.order)]
+    else:
+        components = [(k, "h", float(exact.values[k]), float(fixed.values[k]))
+                      for k in range(plan.order)]
+    floor = engine.FLOOR_FRAC * max(abs(e) for _, _, e, _ in components)
+    entries = [(k, name, e, f, abs(f - e) / abs(e))
+               for k, name, e, f in components if abs(e) > floor]
+    if not entries:
+        return 0.0, (), floor, ()
+    worst = max(rel for *_, rel in entries)
+    dominant = tuple(sorted({k for k, *_, rel in entries
+                             if rel >= worst * (1 - 1e-12) and worst > 0}))
+    return worst, dominant, floor, tuple(entries)
+
+
+# the Q-format study grid: frac bits x rounding x accumulator width
+QSWEEP_CONFIGS = [FixedConfig(QFormat(16, frac), rounding, acc)
+                  for frac in (5, 7, 9) for rounding in ("half-away", "half-even", "truncate")
+                  for acc in (18, 32)]
+
+
 class TestQuantizationReport:
     def test_table_input_dft(self, plan16):
         rep = quantization_report(plan16, RAMP2)
@@ -454,6 +487,22 @@ class TestQuantizationReport:
         # every component is at the floor, so none is significant
         rep = quantization_report(plan16, [0.0] * 16, select=select)
         assert (rep.max_rel_error, rep.dominant_bins, rep.floor, rep.entries) == (0.0, (), 0.0, ())
+
+    @pytest.mark.parametrize("n", [16, 64])
+    @pytest.mark.parametrize("select", list(TransformSelect))
+    def test_equals_the_list_oracle(self, n, select):
+        # random in range, all zero, and samples past the input format's
+        # range, under every config of the grid: every field and property
+        # equals the list walk's, value for value
+        plan = build_plan(n)
+        rng = np.random.default_rng(n)
+        for cfg in QSWEEP_CONFIGS:
+            full = 2.0 ** (cfg.fmt.total_bits - 1 - cfg.fmt.frac_bits)
+            for v in (rng.uniform(-0.5, 0.5, n) * full, np.zeros(n),
+                      rng.uniform(-1.5, 1.5, n) * full):
+                rep = quantization_report(plan, v, cfg, select)
+                got = (rep.max_rel_error, rep.dominant_bins, rep.floor, rep.entries)
+                assert got == _report_oracle(plan, v, cfg, select)
 
     def test_random_sweep_envelope(self, plan16):
         # inputs on the Q8.7 grid in [-1, 1): the measured error is purely
