@@ -20,7 +20,7 @@ from .engine import FixedConfig, TransformSelect, _check_input, execute
 from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
 from .memory import (_overwrite_text, _read_ascii_lines, load_stimulus, pack_output, run_device,
                      write_output_words)
-from .plan import build_plan, count_ops, format_plan
+from .plan import _require_mod4, build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
 
 
@@ -67,6 +67,8 @@ def _saturates(x: float, cfg: FixedConfig) -> bool:
 
 
 def _cmd_transform(args) -> int:
+    if args.n is not None:
+        _require_mod4(args.n)  # a bad --n is named before the sample count is held against it
     samples = _read_samples(args.input)
     n = args.n if args.n is not None else len(samples)
     if len(samples) != n:

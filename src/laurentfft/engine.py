@@ -64,6 +64,9 @@ class FixedConfig:
         object.__setattr__(self, "acc_fmt", self.fmt.widened(self.acc_total_bits))
 
 
+DEFAULT_CONFIG = FixedConfig()  # the device's Q8.7 words and 32-bit accumulators
+
+
 @dataclass(frozen=True)
 class TransformResult:
     """Transform output.  values holds complex bins for DFT, real bins for
@@ -88,9 +91,9 @@ def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
         raise ValueError(f"sample {i} does not fit in float64") from None
     if v.ndim != 1 or v.size != plan.order:
         raise ValueError(f"signal length {v.shape} does not match plan order {plan.order}")
-    bad = np.flatnonzero(~np.isfinite(v))
-    if bad.size:
-        raise ValueError(f"sample {bad[0]} = {v[bad[0]]} is not a finite number")
+    if not np.isfinite(v).all():
+        i = np.flatnonzero(~np.isfinite(v))[0]
+        raise ValueError(f"sample {i} = {v[i]} is not a finite number")
     return v
 
 
@@ -121,14 +124,14 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                             lambda a, b: [fx_add(p, q, flags) for p, q in zip(a, b)],
                             lambda a, b: [fx_sub(p, q, flags) for p, q in zip(a, b)])
 
+    # values are the raws over the scale, exactly as each Fixed.value would be
+    scale = cfg.acc_fmt.scale
     if select is TransformSelect.DHT:
-        h = [fx_sub(a, b, flags) for a, b in zip(re, im)]
-        values = np.array([f.value for f in h])
-        return TransformResult(select, values, tuple(f.raw for f in h), None, flags.overflow)
-    values = np.array([a.value + 1j * b.value for a, b in zip(re, im)])
-    return TransformResult(select, values,
-                           tuple(f.raw for f in re), tuple(f.raw for f in im),
-                           flags.overflow)
+        h_raw, _ = zip(*[fx_sub(a, b, flags) for a, b in zip(re, im)])
+        return TransformResult(select, np.array(h_raw) / scale, h_raw, None, flags.overflow)
+    (re_raw, _), (im_raw, _) = zip(*re), zip(*im)
+    return TransformResult(select, np.array(re_raw) / scale + 1j * (np.array(im_raw) / scale),
+                           re_raw, im_raw, flags.overflow)
 
 
 def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelect.DFT,
@@ -194,7 +197,7 @@ def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = No
     """Relative error of the fixed-point run against the exact run."""
     select = TransformSelect(select)
     exact = execute(plan, samples, select, "exact").values
-    fixed = execute(plan, samples, select, cfg or FixedConfig()).values
+    fixed = execute(plan, samples, select, cfg or DEFAULT_CONFIG).values
     names = ["h"]
     if select is TransformSelect.DFT:
         names = ["re", "im"]

@@ -14,8 +14,10 @@ stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
 followed by 16-bit input words; output files hold 32-bit words.  A word
 is 1-4 (stimulus) or 1-8 (output) hex digits in either case, with no sign,
 prefix or separator, and a reader names path:line of the first that is
-not, or of the first non-ASCII byte.  The writers overwrite an existing file in place rather than
-truncating it to zero first (see _overwrite_text), and fsync nothing.
+not, or of the first non-ASCII byte.  Files are read and written whole, on
+a raw file descriptor.  The writers overwrite an existing file in place
+rather than truncating it to zero first (see _overwrite_text), and fsync
+nothing.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import FixedConfig, TransformResult, TransformSelect, execute
+from .engine import DEFAULT_CONFIG, FixedConfig, TransformResult, TransformSelect, execute
 from .fixed import OverflowFlag, QFormat, _saturate
 from .plan import LaurentPlan
 
@@ -77,7 +79,9 @@ def _checked_words(words, field: str) -> tuple:
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
-    return _saturate(raw, _HALF_WORD, flags) & _WORD16
+    if not -0x8000 <= raw <= 0x7FFF:
+        raw = _saturate(raw, _HALF_WORD, flags)
+    return raw & _WORD16
 
 
 def _sign_extend16(half: int) -> int:
@@ -106,14 +110,10 @@ def pack_output(spectrum, select: TransformSelect | None = None,
     else:
         select, pairs = TransformSelect(select), spectrum
 
-    words = []
     if select is TransformSelect.DFT:
-        for re_raw, im_raw in pairs:
-            words.append((_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags))
-    else:
-        for raw in pairs:
-            words.append(_half_word(raw, flags))
-    return tuple(words)
+        return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
+                      for re_raw, im_raw in pairs])
+    return tuple([_half_word(raw, flags) for raw in pairs])
 
 
 def unpack_output(words, select: TransformSelect):
@@ -132,7 +132,7 @@ def unpack_output(words, select: TransformSelect):
 def run_device(image: MemoryImage, plan: LaurentPlan,
                cfg: FixedConfig | None = None) -> MemoryImage:
     """Model one device pass: load, run the core block, pack, store."""
-    cfg = cfg or FixedConfig()
+    cfg = cfg or DEFAULT_CONFIG
     samples = np.array(image.input_words, dtype=np.float64) / cfg.fmt.scale
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
@@ -140,19 +140,33 @@ def run_device(image: MemoryImage, plan: LaurentPlan,
     return replace(image, output_words=words, overflow=result.overflow or flags.overflow)
 
 
-def _hex_word(path, lineno: int, text: str, digits: int) -> int:
-    # int(text, 16) alone would also take a sign, a 0x prefix, underscores
-    # and any number of digits
-    if len(text) > digits or not _HEX_DIGITS.issuperset(text):
-        raise StimulusFormatError(
-            f"{path}:{lineno}: malformed hex word {text!r} (expected 1 to {digits} hex digits)"
-        )
-    return int(text, 16)
+def _hex_words(path, lines: list[str], digits: int, first: int = 0) -> list[int]:
+    """The values of the hex words on lines[first:], blank lines skipped.
+
+    int(text, 16) alone would also take a sign, a 0x prefix, underscores and
+    any number of digits.  So the stripped words are checked all at once:
+    their joined characters against the hex digits and the longest against
+    digits.  Only when that fails are the lines walked again, to name
+    path:line of the first word that is not 1 to digits hex digits.
+    """
+    words = [text for text in map(str.strip, lines[first:]) if text]
+    if _HEX_DIGITS.issuperset("".join(words)) and max(map(len, words), default=0) <= digits:
+        return [int(text, 16) for text in words]
+    lineno, text = next((i, text) for i, text in enumerate(map(str.strip, lines[first:]), first + 1)
+                        if text and (len(text) > digits or not _HEX_DIGITS.issuperset(text)))
+    raise StimulusFormatError(
+        f"{path}:{lineno}: malformed hex word {text!r} (expected 1 to {digits} hex digits)"
+    )
 
 
 def _read_ascii_lines(path, error=StimulusFormatError) -> list[str]:
-    """The lines of an ASCII text file; a non-ASCII byte raises error naming path:line."""
-    with open(path, "rb") as fh:
+    """The lines of an ASCII text file; a non-ASCII byte raises error naming path:line.
+
+    The file is read whole through an unbuffered FileIO, which sizes its
+    result from fstat and reads into it directly, with no BufferedReader
+    copying in between.
+    """
+    with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
         return data.decode("ascii").splitlines()
@@ -165,20 +179,21 @@ def _read_ascii_lines(path, error=StimulusFormatError) -> list[str]:
 def load_stimulus(path) -> MemoryImage:
     """Read a stimulus file: SELECT header plus one 16-bit hex word per line."""
     lines = _read_ascii_lines(path)
-    entries = [(i + 1, line.strip()) for i, line in enumerate(lines) if line.strip()]
-    if not entries:
+    header_no = next((i for i, line in enumerate(lines, 1) if line.strip()), None)
+    if header_no is None:
         raise StimulusFormatError(f"{path}: empty stimulus file")
-    header_no, header = entries[0]
+    header = lines[header_no - 1].strip()
     parts = header.upper().split()
     if len(parts) != 2 or parts[0] != "SELECT" or parts[1] not in ("DFT", "DHT"):
         raise StimulusFormatError(
             f"{path}:{header_no}: expected 'SELECT DFT' or 'SELECT DHT', got {header!r}"
         )
     select = TransformSelect(parts[1])
-    words = [_sign_extend16(_hex_word(path, lineno, text, 4)) for lineno, text in entries[1:]]
+    # each 16-bit word sign-extended, as _sign_extend16 would, without a call per word
+    words = tuple([(w ^ 0x8000) - 0x8000 for w in _hex_words(path, lines, 4, header_no)])
     if not words:
         raise StimulusFormatError(f"{path}: stimulus contains no input words")
-    return MemoryImage(tuple(words), select)
+    return MemoryImage(words, select)
 
 
 def _overwrite_text(path, text: str) -> None:
@@ -189,29 +204,37 @@ def _overwrite_text(path, text: str) -> None:
     The file is not truncated to zero on open: ext4 (auto_da_alloc) starts
     writeback at close() of a non-empty file that was truncated to zero and
     rewritten, and that implicit flush is all this drops; there is no fsync
-    either way.  Only a regular file is then cut to the new length, since
+    either way.  The bytes go out by os.write on the descriptor os.open
+    returns, looping on short writes, with no file object around it; the
+    descriptor is closed whether or not a write fails.  Only a regular file
+    that is still longer than the new text is then cut to its length, since
     ftruncate fails on /dev/null (EINVAL) and on pipes and FIFOs (ESPIPE).
     """
-    data = text.encode("ascii")
+    data = memoryview(text.encode("ascii"))
     fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
-    with open(fd, "wb") as fh:
-        fh.write(data)
-        if stat.S_ISREG(os.fstat(fd).st_mode):
-            fh.truncate()
+    try:
+        done = 0
+        while done < len(data):
+            done += os.write(fd, data[done:])
+        st = os.fstat(fd)
+        if stat.S_ISREG(st.st_mode) and st.st_size > done:
+            os.ftruncate(fd, done)
+    finally:
+        os.close(fd)
 
 
 def write_stimulus(image: MemoryImage, path):
+    words = image.input_words
     _overwrite_text(path, f"SELECT {image.select.value.upper()}\n" +
-                    "".join(format(raw & _WORD16, "04X") + "\n" for raw in image.input_words))
+                    "%04X\n" * len(words) % tuple([raw & _WORD16 for raw in words]))
 
 
 def write_output_words(words, path):
     """One 32-bit hex word per line; a word outside [0, 2**32) raises as in unpack_output."""
     words = _checked_words(words, "output")
-    _overwrite_text(path, "".join(format(w, "08X") + "\n" for w in words))
+    _overwrite_text(path, "%08X\n" * len(words) % words)
 
 
 def read_output_words(path) -> tuple[int, ...]:
     """Read an output word file: one 32-bit hex word per line, blank lines skipped."""
-    lines = [line.strip() for line in _read_ascii_lines(path)]
-    return tuple(_hex_word(path, i + 1, text, 8) for i, text in enumerate(lines) if text)
+    return tuple(_hex_words(path, _read_ascii_lines(path), 8))

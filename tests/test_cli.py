@@ -104,6 +104,17 @@ class TestTransform:
         assert err.startswith("error:")
         assert "N ≡ 0 (mod 4)" in err
 
+    # the length rule is named, not the 16 samples the file holds
+    @pytest.mark.parametrize("n, rule", [
+        ("0", "satisfy N ≡ 0 (mod 4) and N >= 4, got N=0"),
+        ("-4", "satisfy N ≡ 0 (mod 4) and N >= 4, got N=-4"),
+        ("17", "satisfy N ≡ 0 (mod 4) and N >= 4, got N=17"),
+        (str(MAX_ORDER + 4), f"not exceed {MAX_ORDER}, got N={MAX_ORDER + 4}")],
+        ids=["zero", "negative", "not-mod-4", "above-limit"])
+    def test_unsupported_length_named_before_sample_count(self, capsys, ramp_file, n, rule):
+        code, out, err = run_cli(capsys, "transform", "--n", n, "--input", str(ramp_file))
+        assert (code, out, err) == (1, "", f"error: block length must {rule}\n")
+
     def test_sample_count_mismatch(self, capsys, ramp_file):
         code, _, err = run_cli(capsys, "transform", "--n", "12",
                                "--input", str(ramp_file))

@@ -301,6 +301,34 @@ class TestFixedMode:
                     overflows.append(out.overflow)
         assert any(overflows) == (acc_bits < 32)
 
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_values_are_the_raws_over_the_scale(self, n):
+        # each bin's Fixed.value, and a + 1j * b of the two for DFT: the
+        # float bytes, so a -0.0 where the values hold +0.0 fails too.  An
+        # odd signal has bins with Re = 0 and Im < 0, where 1j * Im is -0.0.
+        rng = np.random.default_rng(n)
+        odd = np.zeros(n)
+        odd[1:n // 2] = rng.integers(-128, 128, size=n // 2 - 1) / 4
+        odd[n // 2 + 1:] = -odd[n // 2 - 1:0:-1]
+        signals = [rng.integers(-32768, 32768, size=n) / 128, rng.integers(-128, 128, size=n) / 128,
+                   odd]
+        overflows = []
+        for cfg in (FixedConfig(acc_total_bits=16), FixedConfig(QFormat(16, 9), "truncate", 18),
+                    FixedConfig(QFormat(16, 5), "half-even", 18), FixedConfig()):
+            for v in signals:
+                for select in TransformSelect:
+                    out = execute(build_plan(n), v, select, cfg)
+                    re = [Fixed(a, cfg.acc_fmt) for a in out.real_raw]
+                    if select is TransformSelect.DFT:
+                        im = [Fixed(b, cfg.acc_fmt) for b in out.imag_raw]
+                        want = np.array([a.value + 1j * b.value for a, b in zip(re, im)])
+                    else:
+                        want = np.array([h.value for h in re])
+                    assert out.values.dtype == want.dtype
+                    assert out.values.tobytes() == want.tobytes(), (cfg, select)
+                    overflows.append(out.overflow)
+        assert any(overflows) and not all(overflows)
+
     def test_arith_must_be_a_config(self, plan16):
         # the string "fixed" names no word format, rounding or accumulator
         with pytest.raises(ValueError, match="arith must be 'exact' or a FixedConfig"):
@@ -377,6 +405,31 @@ class TestCountOps:
             calls.clear()
             execute(plan16, RAMP2, select, FixedConfig())
             assert calls["fx_add"] + calls["fx_sub"] == expected
+
+    def test_executed_adds_follow_the_tape(self, monkeypatch):
+        # Every row starts from zero, so each entry of the input and combiner
+        # tables is one add; each stream merged into an accumulator after its
+        # first is N adds, and DHT's Re - Im N more.  This is where the
+        # executed adds exceed count_ops (298 against 152 at N = 16).
+        calls = Counter()
+        for name in ("fx_add", "fx_sub"):
+            def counted(*args, _op=getattr(engine, name)):
+                calls["adds"] += 1
+                return _op(*args)
+            monkeypatch.setattr(engine, name, counted)
+        executed = {}
+        for n in range(4, 65, 4):
+            plan = build_plan(n)
+            tape, per_acc = plan.tape, Counter(s.dest for s in plan.streams)
+            dft_adds = (tape.inputs.rows.size + tape.combiners.rows.size
+                        + n * sum(k - 1 for k in per_acc.values()))
+            for select, expected in ((TransformSelect.DFT, dft_adds),
+                                     (TransformSelect.DHT, dft_adds + n)):
+                calls.clear()
+                execute(plan, np.linspace(-1, 1, n), select, FixedConfig())
+                assert calls["adds"] == expected, (n, select)
+            executed[n] = dft_adds
+        assert (executed[16], executed[64]) == (298, 4778)
 
     @pytest.mark.parametrize("select, expected", [
         (TransformSelect.DFT, {"fx_add": 2965, "fx_sub": 1813, "fx_mul": 224, "quantize": 79}),

@@ -185,10 +185,13 @@ class TestStimulusFiles:
         assert read_output_words(path) == DFT_WORDS
         assert path.read_text().splitlines()[2] == "FC0009B0"
 
-    @pytest.mark.parametrize("word", ["-1", "+7", "0x10", "1_0", "10000", "G123", "00 01"])
+    # all words are checked at once, and only a failed check walks the lines
+    # again: the walk names the bad word among good ones
+    @pytest.mark.parametrize("word", ["-1", "+7", "0x10", "1_0", "10000", "G123", "00 01",
+                                      "12345", "0x12", "+12", "1_2", "1 2"])
     def test_stimulus_word_not_1_to_4_hex_digits_names_line(self, tmp_path, word):
         path = tmp_path / "bad.txt"
-        path.write_text(f"SELECT DFT\n0000\n\n{word}\n")
+        path.write_text(f"SELECT DFT\n0000\n\n{word}\n7FFF\nFC00\n")
         message = rf"bad.txt:4: malformed hex word '{re.escape(word)}'"
         with pytest.raises(StimulusFormatError, match=message):
             load_stimulus(path)
@@ -209,10 +212,11 @@ class TestStimulusFiles:
         assert load_stimulus(path).input_words == (-1024, -1024, 7, 128)
 
     # 1FFFFFFFF used to read as 8589934591 and unpack to (-1, -1) unnoticed
-    @pytest.mark.parametrize("word", ["1FFFFFFFF", "-1", "+7", "0x10", "1_0", "ZZ"])
+    @pytest.mark.parametrize("word", ["1FFFFFFFF", "-1", "+7", "0x10", "1_0", "ZZ",
+                                      "123456789", "0x12", "+12", "1_2", "1 2"])
     def test_output_word_not_1_to_8_hex_digits_names_line(self, tmp_path, word):
         path = tmp_path / "words.hex"
-        path.write_text(f"00000000\n\n{word}\n")
+        path.write_text(f"00000000\n\n{word}\nFFFFFFFF\n0\n")
         message = rf"words.hex:3: malformed hex word '{re.escape(word)}'"
         with pytest.raises(StimulusFormatError, match=message):
             read_output_words(path)
@@ -304,6 +308,33 @@ class TestInPlaceWriters:
 
     def test_dev_null(self, write):
         write(os.devnull)
+
+    def test_short_writes_give_the_whole_file(self, tmp_path, write, monkeypatch):
+        # os.write may take fewer bytes than it is given; the rest is written on
+        path = tmp_path / "old"
+        path.write_text("X" * 4096)
+        want = fresh_bytes(tmp_path, write)
+        sizes = []
+
+        def three_bytes(fd, data, _write=os.write):
+            sizes.append(_write(fd, data[:3]))
+            return sizes[-1]
+        monkeypatch.setattr(os, "write", three_bytes)
+        write(path)
+        assert path.read_bytes() == want
+        assert len(sizes) == -(-len(want) // 3) and set(sizes) <= {1, 2, 3}
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+    def test_failed_write_closes_the_fd(self, tmp_path, write, monkeypatch):
+        # a raw fd raises no ResourceWarning if leaked, so count the open fds
+        def failing(fd, data):
+            raise OSError(28, "No space left on device")
+        before = sorted(os.listdir("/proc/self/fd"))
+        monkeypatch.setattr(os, "write", failing)
+        with pytest.raises(OSError, match="No space left"):
+            write(tmp_path / "full")
+        monkeypatch.undo()
+        assert sorted(os.listdir("/proc/self/fd")) == before
 
     def test_fifo(self, tmp_path, write):
         fifo = tmp_path / "fifo"
