@@ -5,8 +5,9 @@
     laurentfft testbench stimulus.txt --output words.hex
 
 Sample files hold one decimal value per line, or comma-separated values;
-blank lines are ignored.  All failures exit nonzero with a single
-"error: ..." line on stderr.
+blank lines are ignored.  The samples are then checked by execute's check,
+before the plan is built; a stimulus by load_stimulus, the options by the
+FixedConfig they build.  Every failure exits 1 with one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -24,24 +25,20 @@ from .plan import _require_mod4, build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
 
 
-class CliError(Exception):
-    pass
-
-
 def _read_samples(path) -> list[float]:
     try:
-        lines = _read_ascii_lines(path, CliError)
+        lines = _read_ascii_lines(path)
     except OSError as exc:
-        raise CliError(f"cannot read input file: {exc}") from None
+        raise ValueError(f"cannot read input file: {exc}") from None
     values = []
     for lineno, line in enumerate(lines, start=1):
         for token in line.replace(",", " ").split():
             try:
                 values.append(float(token))
             except ValueError:
-                raise CliError(f"{path}:{lineno}: not a number: {token!r}") from None
+                raise ValueError(f"{path}:{lineno}: not a number: {token!r}") from None
     if not values:
-        raise CliError(f"{path}: no samples found")
+        raise ValueError(f"{path}: no samples found")
     return values
 
 
@@ -56,7 +53,7 @@ def _format_values(result, fmt: str):
                                   for k, v in enumerate(result.values)]
         return ["k,h"] + [f"{k},{v:.10g}" for k, v in enumerate(result.values)]
     if result.real_raw is None:  # "hex": argparse's choices allow no other format
-        raise CliError("hex output requires fixed arithmetic")
+        raise ValueError("hex output requires fixed arithmetic")
     return [format(w, "08X") for w in pack_output(result)]
 
 
@@ -71,20 +68,17 @@ def _cmd_transform(args) -> int:
         _require_mod4(args.n)  # a bad --n is named before the sample count is held against it
     samples = _read_samples(args.input)
     n = args.n if args.n is not None else len(samples)
-    if len(samples) != n:
-        raise CliError(f"expected {n} samples, file holds {len(samples)}")
+    _check_input(n, samples)  # names a wrong count or a non-finite sample before the plan build
     plan = build_plan(n)
 
     arith = "exact"
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
-        # probe the samples before paying for the transform
-        _check_input(plan, samples)  # names a non-finite sample
         # quantize is monotone in x, so no sample saturates unless the
         # smallest or the largest does; only then scan for the first one
         if _saturates(min(samples), arith) or _saturates(max(samples), arith):
             i = next(i for i, x in enumerate(samples) if _saturates(x, arith))
-            raise CliError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
+            raise ValueError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
     result = execute(plan, samples, args.select, arith)
 
     lines = _format_values(result, args.format)
@@ -124,8 +118,7 @@ def _cmd_plan(args) -> int:
 def _cmd_testbench(args) -> int:
     image = load_stimulus(args.stimulus)
     plan = build_plan(len(image.input_words))
-    cfg = FixedConfig(QFormat(16, args.frac_bits), args.round)
-    done = run_device(image, plan, cfg)
+    done = run_device(image, plan, FixedConfig(QFormat(16, args.frac_bits), args.round))
     out_path = args.output or (str(args.stimulus) + ".out.hex")
     write_output_words(done.output_words, out_path)
     print(f"wrote {len(done.output_words)} output words to {out_path}")
@@ -140,13 +133,14 @@ def _build_parser() -> argparse.ArgumentParser:
         description="DFT/DHT transform engine with a bit-exact fixed-point device model",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    fixed = argparse.ArgumentParser(add_help=False)  # the device arithmetic options
+    fixed.add_argument("--frac-bits", type=int, default=7)
+    fixed.add_argument("--round", choices=ROUNDING_MODES, default=ROUND_HALF_AWAY)
 
-    p_tr = sub.add_parser("transform", help="transform a sample file")
+    p_tr = sub.add_parser("transform", parents=[fixed], help="transform a sample file")
     p_tr.add_argument("--n", type=int, default=None, help="block length (default: sample count)")
-    p_tr.add_argument("--select", choices=("dft", "dht"), default="dft")
+    p_tr.add_argument("--select", choices=[s.value for s in TransformSelect], default="dft")
     p_tr.add_argument("--arith", choices=("exact", "fixed"), default="fixed")
-    p_tr.add_argument("--frac-bits", type=int, default=7)
-    p_tr.add_argument("--round", choices=ROUNDING_MODES, default=ROUND_HALF_AWAY)
     p_tr.add_argument("--input", required=True)
     p_tr.add_argument("--output", default=None)
     p_tr.add_argument("--format", choices=("text", "csv", "hex"), default="text")
@@ -160,11 +154,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_plan.add_argument("--count-ops", action="store_true", help="print only the counts")
     p_plan.set_defaults(func=_cmd_plan)
 
-    p_tb = sub.add_parser("testbench", help="run a stimulus file through the device model")
+    p_tb = sub.add_parser("testbench", parents=[fixed],
+                          help="run a stimulus file through the device model")
     p_tb.add_argument("stimulus")
     p_tb.add_argument("--output", default=None)
-    p_tb.add_argument("--frac-bits", type=int, default=7)
-    p_tb.add_argument("--round", choices=ROUNDING_MODES, default=ROUND_HALF_AWAY)
     p_tb.set_defaults(func=_cmd_testbench)
     return parser
 
@@ -174,7 +167,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, ValueError, OSError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,7 @@ from .fixed import (
     quantize,
 )
 from .plan import LaurentPlan, OpCount, _merge_streams, count_ops  # noqa
+from .reference import _as_signal
 
 FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport
 
@@ -81,16 +82,12 @@ class TransformResult:
     overflow: bool = False
 
 
-def _check_input(plan: LaurentPlan, samples) -> np.ndarray:
-    if np.iscomplexobj(samples):
-        raise ValueError("samples must be real")
-    try:
-        v = np.asarray(samples, dtype=np.float64)
-    except OverflowError:  # an int or Fraction that rounds past the largest double
-        i = next(i for i, s in enumerate(samples) if abs(s) >= 2**1024 - 2**970)
-        raise ValueError(f"sample {i} does not fit in float64") from None
-    if v.ndim != 1 or v.size != plan.order:
-        raise ValueError(f"signal length {v.shape} does not match plan order {plan.order}")
+def _check_input(order: int, samples) -> np.ndarray:
+    """samples as reference._as_signal checks them, plus a plan's two rules:
+    order samples, each finite (ValueError names the first that is not)."""
+    v = _as_signal(samples)
+    if v.size != order:
+        raise ValueError(f"expected {order} samples, got {v.size}")
     if not np.isfinite(v).all():
         i = np.flatnonzero(~np.isfinite(v))[0]
         raise ValueError(f"sample {i} = {v[i]} is not a finite number")
@@ -146,7 +143,7 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
     samples give a transform that overflows float64.
     """
     select = TransformSelect(select)
-    v = _check_input(plan, samples)
+    v = _check_input(plan.order, samples)
     if arith == "exact":
         # each bincount sums a row's terms from 0.0 in their tape order
         t, c, n = plan.tape, plan.tape.combiners, plan.order

@@ -159,8 +159,8 @@ def _hex_words(path, lines: list[str], digits: int, first: int = 0) -> list[int]
     )
 
 
-def _read_ascii_lines(path, error=StimulusFormatError) -> list[str]:
-    """The lines of an ASCII text file; a non-ASCII byte raises error naming path:line.
+def _read_ascii_lines(path) -> list[str]:
+    """The lines of an ASCII text file; StimulusFormatError names path:line of a non-ASCII byte.
 
     The file is read whole through an unbuffered FileIO, which sizes its
     result from fstat and reads into it directly, with no BufferedReader
@@ -173,7 +173,8 @@ def _read_ascii_lines(path, error=StimulusFormatError) -> list[str]:
     except UnicodeDecodeError as exc:
         # the bad byte ends the line that splitlines would number lineno
         lineno = len((data[:exc.start].decode("ascii") + "?").splitlines())
-        raise error(f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
+        raise StimulusFormatError(
+            f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
 
 
 def load_stimulus(path) -> MemoryImage:
@@ -184,11 +185,10 @@ def load_stimulus(path) -> MemoryImage:
         raise StimulusFormatError(f"{path}: empty stimulus file")
     header = lines[header_no - 1].strip()
     parts = header.upper().split()
-    if len(parts) != 2 or parts[0] != "SELECT" or parts[1] not in ("DFT", "DHT"):
-        raise StimulusFormatError(
-            f"{path}:{header_no}: expected 'SELECT DFT' or 'SELECT DHT', got {header!r}"
-        )
-    select = TransformSelect(parts[1])
+    if len(parts) != 2 or parts[0] != "SELECT" or parts[1] not in TransformSelect.__members__:
+        names = " or ".join(f"'SELECT {name}'" for name in TransformSelect.__members__)
+        raise StimulusFormatError(f"{path}:{header_no}: expected {names}, got {header!r}")
+    select = TransformSelect[parts[1]]
     # each 16-bit word sign-extended, as _sign_extend16 would, without a call per word
     words = tuple([(w ^ 0x8000) - 0x8000 for w in _hex_words(path, lines, 4, header_no)])
     if not words:

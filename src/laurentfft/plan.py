@@ -140,6 +140,8 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
 def _as_ternary(mat: np.ndarray) -> np.ndarray:
     # test the values as given: a bare cast would truncate 0.5 to 0
     values = np.asarray(mat)
+    if values.ndim != 2:
+        raise PlanConstructionError(f"expected a 2-D matrix, got shape {values.shape}")
     if (np.abs(values) <= 1).all():
         t = values.astype(np.int8, copy=False)
         if (t == values).all():

@@ -14,13 +14,20 @@ import numpy as np
 
 
 def _as_signal(samples) -> np.ndarray:
+    """samples as float64: ValueError unless real, 1-D and non-empty, naming the
+    first that does not fit in float64.  NaN and infinities pass."""
     if np.iscomplexobj(samples):
         raise ValueError("samples must be real")
-    v = np.asarray(samples, dtype=np.float64)
+    try:
+        v = np.asarray(samples, dtype=np.float64)
+    except OverflowError:  # an int or Fraction that rounds past the largest double
+        v = np.asarray(samples, dtype=object)
     if v.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     if v.size == 0:
         raise ValueError("signal must contain at least one sample")
+    if v.dtype == object:
+        raise ValueError(f"sample {np.argmax(abs(v) >= 2**1024 - 2**970)} does not fit in float64")
     return v
 
 

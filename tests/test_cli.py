@@ -6,7 +6,8 @@ import warnings
 import numpy as np
 import pytest
 
-from laurentfft import cli
+from laurentfft import (FixedConfig, MemoryImage, QFormat, build_plan, cli, execute,
+                        load_stimulus, pack_output, run_device)
 from laurentfft.cli import main
 from laurentfft.fixed import ROUNDING_MODES, quantize
 from laurentfft.plan import MAX_ORDER
@@ -119,6 +120,17 @@ class TestTransform:
         code, _, err = run_cli(capsys, "transform", "--n", "12",
                                "--input", str(ramp_file))
         assert code == 1 and err.startswith("error:")
+
+    @pytest.mark.parametrize("arith", ["exact", "fixed"])
+    def test_sample_count_mismatch_names_both_counts(self, capsys, ramp_file, monkeypatch,
+                                                      arith):
+        def no_plan(n):
+            raise AssertionError("the plan was built before the sample count was checked")
+
+        monkeypatch.setattr(cli, "build_plan", no_plan)
+        code, out, err = run_cli(capsys, "transform", "--n", "32", "--arith", arith,
+                                 "--input", str(ramp_file))
+        assert (code, out, err) == (1, "", "error: expected 32 samples, got 16\n")
 
     @pytest.mark.parametrize("rounding", ROUNDING_MODES)
     def test_out_of_range_sample_names_index(self, capsys, tmp_path, rounding):
@@ -351,3 +363,57 @@ class TestTestbench:
                                  "--format", "hex", "--input", str(ramp_file),
                                  "--output", os.devnull)
         assert (code, out, err) == (0, "", "")
+
+
+
+# Q10.5 with truncation: neither option at its default, and both change the words
+CFG_5_TRUNC = FixedConfig(QFormat(16, 5), "truncate")
+
+
+class TestFixedOptions:
+    @pytest.mark.parametrize("select", ["dft", "dht"])
+    def test_transform_frac_bits_and_round(self, capsys, tmp_path, select):
+        samples = np.random.default_rng(19).uniform(-4, 4, 16)
+        path = tmp_path / "r16.csv"
+        path.write_text("\n".join(repr(float(x)) for x in samples) + "\n")
+        plan = build_plan(16)
+        want = pack_output(execute(plan, samples, select, CFG_5_TRUNC))
+        for other in (FixedConfig(), FixedConfig(QFormat(16, 5)), FixedConfig(rounding="truncate")):
+            assert pack_output(execute(plan, samples, select, other)) != want
+        code, out, err = run_cli(capsys, "transform", "--select", select, "--arith", "fixed",
+                                 "--frac-bits", "5", "--round", "truncate", "--format", "hex",
+                                 "--input", str(path))
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [format(w, "08X") for w in want]
+
+    @pytest.mark.parametrize("header", ["SELECT DFT", "SELECT DHT"])
+    def test_testbench_frac_bits_and_round(self, capsys, tmp_path, header):
+        raws = np.random.default_rng(23).integers(-1000, 1000, 16).tolist()
+        stim = tmp_path / "stim.txt"
+        stim.write_text("\n".join([header] + [format(w & 0xFFFF, "04X") for w in raws]) + "\n")
+        image = load_stimulus(stim)
+        assert image == MemoryImage(raws, header.split()[1])
+        plan = build_plan(16)
+        want = run_device(image, plan, CFG_5_TRUNC).output_words
+        for other in (FixedConfig(), FixedConfig(QFormat(16, 5)), FixedConfig(rounding="truncate")):
+            assert run_device(image, plan, other).output_words != want
+        out_path = tmp_path / "words.hex"
+        code, _, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path),
+                               "--frac-bits", "5", "--round", "truncate")
+        assert (code, err) == (0, "")
+        assert out_path.read_text().splitlines() == [format(w, "08X") for w in want]
+
+    @pytest.mark.parametrize("bits", ["0", "16"])
+    @pytest.mark.parametrize("command", ["transform", "testbench"])
+    def test_frac_bits_outside_the_word_is_one_error_line(self, capsys, tmp_path, ramp_file,
+                                                          command, bits):
+        stim = tmp_path / "stim.txt"
+        stim.write_text("\n".join(STIM_LINES) + "\n")
+        out_path = tmp_path / "words.hex"
+        argv = (["transform", "--input", str(ramp_file)] if command == "transform" else
+                ["testbench", str(stim), "--output", str(out_path)])
+        code, out, err = run_cli(capsys, *argv, "--frac-bits", bits)
+        assert (code, out) == (1, "")
+        assert err == ("error: QFormat requires 1 <= frac_bits < total_bits <= 32, "
+                       f"got total_bits=16, frac_bits={bits}\n")
+        assert not out_path.exists()

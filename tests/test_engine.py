@@ -194,6 +194,19 @@ class TestExactMode:
         with pytest.raises(ValueError):
             execute(plan16, [1.0] * 8, TransformSelect.DFT, "exact")
 
+    def test_wrong_count_is_one_message_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, got in (([1.0] * 8, 8), (np.zeros(17), 17)):
+                with pytest.raises(ValueError, match=rf"^expected 16 samples, got {got}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_shape_named_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, message in ((np.zeros((2, 8)), "signal must be one-dimensional"),
+                               ([], "signal must contain at least one sample")):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
     def test_non_finite_sample_names_index(self, plan16):
         for arith in ("exact", FixedConfig()):
             # 2**1024 - 2**970 is the least int that float() cannot round

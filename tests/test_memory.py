@@ -139,6 +139,10 @@ class TestRunDevice:
         with pytest.raises(ValueError):
             run_device(MemoryImage((0,) * 8, TransformSelect.DFT), plan16)
 
+    def test_order_mismatch_message_is_executes(self, plan16):
+        with pytest.raises(ValueError, match=r"^expected 16 samples, got 8$"):
+            run_device(MemoryImage((0,) * 8, TransformSelect.DFT), plan16)
+
 
 class TestStimulusFiles:
     def test_round_trip(self, tmp_path, plan16):
@@ -166,6 +170,15 @@ class TestStimulusFiles:
         path.write_text("0000\n0080\n")
         with pytest.raises(StimulusFormatError):
             load_stimulus(path)
+
+    @pytest.mark.parametrize("header", ["SELECT FFT", "SELECT", "SELECT DFT DHT", "PICK DFT"])
+    def test_bad_header_names_line(self, tmp_path, header):
+        path = tmp_path / "hdr.txt"
+        path.write_text(f"\n{header}\n0000\n")
+        with pytest.raises(StimulusFormatError) as exc:
+            load_stimulus(path)
+        assert str(exc.value) == \
+            f"{path}:2: expected 'SELECT DFT' or 'SELECT DHT', got {header!r}"
 
     def test_empty_file(self, tmp_path):
         path = tmp_path / "empty.txt"

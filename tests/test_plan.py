@@ -3,6 +3,7 @@ factorizations and the reconstruction identity."""
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -164,9 +165,16 @@ class TestEchelonFactor:
 
     def test_non_ternary_input_rejected(self):
         # a cast to integers before the test would make the second one ternary
-        for bad in ([[2, 0], [0, 1]], [[0.5, 1.0], [1.7, -1.2]], [[1.0, np.nan]]):
+        for bad in ([[2, 0], [0, 1]], [[0.5, 1.0], [1.7, -1.2]], [[1.0, np.nan]],
+                    [1, 0, -1], np.zeros((2, 2, 2))):
             with pytest.raises(PlanConstructionError):
                 echelon_factor(np.array(bad))
+
+    @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
+    def test_non_matrix_input_names_its_shape(self, shape):
+        with pytest.raises(PlanConstructionError,
+                           match=rf"expected a 2-D matrix, got shape {re.escape(str(shape))}"):
+            echelon_factor(np.zeros(shape, dtype=int))
 
     def test_rank_sum_order_16_is_twelve(self, rank_gauss):
         plan = build_plan(16)

@@ -36,6 +36,32 @@ class TestDftDirect:
         with pytest.raises(ValueError, match="samples must be real"):
             oracle(np.ones(4) * (1 + 1j))
 
+    @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
+    @pytest.mark.parametrize("samples, first", [([10**400] + [0] * 15, 0),
+                                                ([0, 1, -10**400, 10**400], 2)])
+    def test_sample_beyond_float64_named(self, oracle, samples, first):
+        with pytest.raises(ValueError, match=f"^sample {first} does not fit in float64$"):
+            oracle(samples)
+
+    @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
+    @pytest.mark.parametrize("bad, message", [
+        (np.zeros((2, 8)), "signal must be one-dimensional"),
+        # too large for float64 as well: the shape is still what is named
+        ([[10**400, 0], [0, 0]], "signal must be one-dimensional"),
+        ([], "signal must contain at least one sample")],
+        ids=["2-D", "2-D-beyond-float64", "empty"])
+    def test_shape_rejected(self, oracle, bad, message):
+        with pytest.raises(ValueError, match=message):
+            oracle(bad)
+
+    @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
+    def test_non_finite_samples_accepted(self, oracle):
+        # the oracles check shape, not values: a NaN or an infinity runs through
+        with np.errstate(invalid="ignore"):
+            for bad in (np.nan, np.inf):
+                out = oracle([bad, 0.0, 0.0, 0.0])
+                assert out.shape == (4,) and not np.isfinite(out).all()
+
     def test_any_positive_length_accepted(self):
         # the oracle is not restricted to N = 0 (mod 4)
         assert dft_direct([1.0, 2.0, 3.0]).shape == (3,)
