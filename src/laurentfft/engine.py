@@ -25,6 +25,7 @@ from .fixed import (
     ROUND_HALF_AWAY,
     ROUNDING_MODES,
     _index_width,
+    _tuple_new,
     fx_add,
     fx_mul,
     fx_sub,
@@ -98,10 +99,14 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
     tape = plan.tape
     flags = OverflowFlag()
-    x = [Fixed(quantize(s, cfg.fmt, cfg.rounding, flags).raw, cfg.acc_fmt) for s in v]
+    # built as fixed.py builds its results; the one acc_fmt object keeps
+    # fx_add's format check on its identity test
+    acc_fmt = cfg.acc_fmt
+    x = [_tuple_new(Fixed, (quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt))
+         for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
     rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]
-    zero = Fixed(0, cfg.acc_fmt)
+    zero = _tuple_new(Fixed, (0, acc_fmt))
 
     def sum_rows(table, vals):
         # Bound per call, not at import, so a wrapper on engine.fx_add or
@@ -122,7 +127,7 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                             lambda a, b: [fx_sub(p, q, flags) for p, q in zip(a, b)])
 
     # values are the raws over the scale, exactly as each Fixed.value would be
-    scale = cfg.acc_fmt.scale
+    scale = acc_fmt.scale
     if select is TransformSelect.DHT:
         h_raw, _ = zip(*[fx_sub(a, b, flags) for a, b in zip(re, im)])
         return TransformResult(select, np.array(h_raw) / scale, h_raw, None, flags.overflow)

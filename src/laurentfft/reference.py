@@ -15,19 +15,27 @@ import numpy as np
 
 def _as_signal(samples) -> np.ndarray:
     """samples as float64: ValueError unless real, 1-D and non-empty, naming the
-    first that does not fit in float64.  NaN and infinities pass."""
+    first that does not fit in float64 or is not a number.  NaN and infinities
+    pass."""
     if np.iscomplexobj(samples):
         raise ValueError("samples must be real")
     try:
         v = np.asarray(samples, dtype=np.float64)
-    except OverflowError:  # an int or Fraction that rounds past the largest double
+    except (OverflowError, TypeError):  # an int past the largest double; a dict, an object
         v = np.asarray(samples, dtype=object)
     if v.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     if v.size == 0:
         raise ValueError("signal must contain at least one sample")
-    if v.dtype == object:
-        raise ValueError(f"sample {np.argmax(abs(v) >= 2**1024 - 2**970)} does not fit in float64")
+    if v.dtype == object:  # only a refused signal pays for this scan
+        for i, s in enumerate(v):
+            try:
+                float(s)
+            except OverflowError:
+                raise ValueError(f"sample {i} does not fit in float64") from None
+            except TypeError:
+                raise ValueError(f"sample {i} ({type(s).__name__}) is not a number") from None
+        raise ValueError("samples must be real numbers")
     return v
 
 

@@ -207,6 +207,15 @@ class TestExactMode:
                 with pytest.raises(ValueError, match=rf"^{message}$"):
                     execute(plan16, v, TransformSelect.DFT, arith)
 
+    def test_unreadable_samples_named_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, message in (([0.0] * 5 + [object()] + [0.0] * 10,
+                                r"sample 5 \(object\) is not a number"),
+                               ([object()] * 16, r"sample 0 \(object\) is not a number"),
+                               ({1: 2}, "signal must be one-dimensional")):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
     def test_non_finite_sample_names_index(self, plan16):
         for arith in ("exact", FixedConfig()):
             # 2**1024 - 2**970 is the least int that float() cannot round
@@ -270,6 +279,16 @@ class TestFixedMode:
             out = execute(plan16, [0.0] * 16, sel, FixedConfig())
             assert not any(out.real_raw)
             assert not out.overflow
+
+    @pytest.mark.parametrize("select", list(TransformSelect))
+    @pytest.mark.parametrize("acc_bits", [32, 16], ids=["in-range", "saturating"])
+    def test_raws_are_ints(self, plan16, select, acc_bits):
+        out = execute(plan16, np.array(FULL_SCALE_RAWS) / 128, select,
+                      FixedConfig(acc_total_bits=acc_bits))
+        assert out.overflow == (acc_bits == 16)
+        raws = out.real_raw + (out.imag_raw or ())
+        assert len(raws) == 16 * (2 if select is TransformSelect.DFT else 1)
+        assert all(type(r) is int for r in raws)
 
     def test_rounding_mode_changes_result(self, plan16):
         away = execute(plan16, RAMP2, TransformSelect.DFT, FixedConfig())

@@ -23,6 +23,7 @@ from laurentfft import (
 )
 
 Q16_7 = QFormat(16, 7)
+Q32_7 = QFormat(32, 7)
 
 
 class TestQFormat:
@@ -275,3 +276,43 @@ class TestWiden:
     def test_cannot_narrow(self):
         with pytest.raises(ValueError):
             widen(Fixed(1, QFormat(32, 7)), 16)
+
+
+class TestResultConstruction:
+    """Each op builds an exact Fixed with an int raw, equal and hash-equal to
+    Fixed(raw, fmt), in range and when it saturates."""
+
+    @staticmethod
+    def check(r):
+        assert type(r) is Fixed and type(r.raw) is int
+        assert r == Fixed(r.raw, r.fmt) and hash(r) == hash(Fixed(r.raw, r.fmt))
+
+    @pytest.mark.parametrize("op, fmt, saturates", [
+        # an equal format that is another object: the result takes the first's
+        (lambda f: fx_add(Fixed(3, Q16_7), Fixed(4, QFormat(16, 7)), f), Q16_7, False),
+        (lambda f: fx_add(Fixed(Q16_7.max_raw, Q16_7), Fixed(1, Q16_7), f), Q16_7, True),
+        (lambda f: fx_sub(Fixed(3, Q16_7), Fixed(4, Q16_7), f), Q16_7, False),
+        (lambda f: fx_sub(Fixed(Q16_7.min_raw, Q16_7), Fixed(1, Q16_7), f), Q16_7, True),
+        (lambda f: fx_mul(Fixed(1 << 20, Q32_7), Fixed(64, Q16_7), flags=f), Q32_7, False),
+        (lambda f: fx_mul(Fixed(64, Q16_7), Fixed(1 << 20, Q32_7), flags=f), Q32_7, False),
+        (lambda f: fx_mul(Fixed(-1 << 15, Q16_7), Fixed(-1 << 15, Q16_7), ROUND_HALF_EVEN, f),
+         Q16_7, True),
+        (lambda f: quantize(1.5, Q16_7, flags=f), Q16_7, False),
+        (lambda f: quantize(np.int64(-3), Q16_7, flags=f), Q16_7, False),
+        (lambda f: quantize(Fraction(1, 3), Q16_7, ROUND_TRUNCATE, f), Q16_7, False),
+        (lambda f: quantize(1e300, Q16_7, flags=f), Q16_7, True),
+        (lambda f: quantize(-1e300, Q16_7, ROUND_HALF_EVEN, f), Q16_7, True)],
+        ids=["add", "add-saturating", "sub", "sub-saturating", "mul-wide-first",
+             "mul-wide-second", "mul-saturating", "quantize-float", "quantize-np-int",
+             "quantize-fraction", "quantize-saturating", "quantize-saturating-negative"])
+    def test_ops(self, op, fmt, saturates):
+        flags = OverflowFlag()
+        r = op(flags)
+        self.check(r)
+        assert r.fmt is fmt and flags.overflow == saturates
+
+    @pytest.mark.parametrize("raw", [0, Q16_7.max_raw, Q16_7.min_raw])
+    def test_widen(self, raw):
+        r = widen(Fixed(raw, Q16_7), 32)
+        self.check(r)
+        assert r.fmt == Q32_7 and r.raw == raw

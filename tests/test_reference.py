@@ -55,6 +55,20 @@ class TestDftDirect:
             oracle(bad)
 
     @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
+    @pytest.mark.parametrize("bad, message", [
+        ([object()] * 16, r"sample 0 \(object\) is not a number"),
+        ([0.0, 1.0, {1: 2}, None], r"sample 2 \(dict\) is not a number"),
+        # too large for float64 and not a number: the first refused sample is named
+        ([0, 10**400, object()], "sample 1 does not fit in float64"),
+        # numpy reads a dict or an object as one scalar, so the shape is named
+        ({1: 2}, "signal must be one-dimensional"),
+        (object(), "signal must be one-dimensional")],
+        ids=["objects", "dict-sample", "beyond-float64-first", "dict", "object"])
+    def test_unreadable_samples_rejected(self, oracle, bad, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            oracle(bad)
+
+    @pytest.mark.parametrize("oracle", [dft_direct, dht_direct])
     def test_non_finite_samples_accepted(self, oracle):
         # the oracles check shape, not values: a NaN or an infinity runs through
         with np.errstate(invalid="ignore"):
