@@ -112,14 +112,14 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
         # Bound per call, not at import, so a wrapper on engine.fx_add or
         # engine.fx_sub sees every op.
         add, sub = fx_add, fx_sub
-        out = [zero] * (table.bounds.size - 1)
+        out = [zero] * table.nrows
         for r, c, s in table.terms:
             out[r] = add(out[r], vals[c], flags) if s > 0 else sub(out[r], vals[c], flags)
         return out
 
     u = sum_rows(tape.inputs, x)
     u = [a if k < 0 else fx_mul(a, rom[k], cfg.rounding, flags)
-         for a, k in zip(u, tape.slot_list)]
+         for a, k in zip(u, tape.slots)]
     y = sum_rows(tape.combiners, u)
     n = plan.order
     re, im = _merge_streams(plan, (y[i:i + n] for i in range(0, len(y), n)),
@@ -154,8 +154,8 @@ def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelec
         t, c, n = plan.tape, plan.tape.combiners, plan.order
         with np.errstate(over="ignore", invalid="ignore"):  # a non-finite bin raises below
             u = np.bincount(t.inputs.rows, weights=t.inputs.signs * v[t.inputs.cols],
-                            minlength=t.scale.size) * t.scale
-            y = np.bincount(c.rows, weights=c.signs * u[c.cols], minlength=len(plan.streams) * n)
+                            minlength=t.inputs.nrows) * t.scale
+            y = np.bincount(c.rows, weights=c.signs * u[c.cols], minlength=c.nrows)
             re, im = _merge_streams(plan, y.reshape(-1, n), np.add, np.subtract)
             values = re - im if select is TransformSelect.DHT else re + 1j * im
         if not np.isfinite(values).all():

@@ -26,7 +26,7 @@ A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
 LaurentPlan.tape lowers the streams once, on first use, to the device's
-stages; both executors and count_ops read its two tables.  The merge rule
+stages; both executors and count_ops read it.  The merge rule
 lives in _merge_streams alone, over the streams.  Only reconstruct and
 format_plan read the dense int8 factors.
 
@@ -271,12 +271,12 @@ class Stream:
 
 
 class RowTable(NamedTuple("RowTable", [("rows", np.ndarray), ("cols", np.ndarray),
-                                       ("signs", np.ndarray), ("bounds", np.ndarray)])):
-    """The nonzero entries of ternary matrices stacked row on row: row i
-    sums signs[e] * x[cols[e]] over its entries e in bounds[i]:bounds[i + 1],
-    in increasing column order, and rows[e] is the row of entry e.  terms is
-    every (rows[e], cols[e], signs[e]) in Python ints, for the fixed executor
-    alone; it is cached on first use in the instance dict this subclass has."""
+                                       ("signs", np.ndarray), ("nrows", int)])):
+    """The nonzero entries of ternary matrices stacked row on row: row i of
+    nrows sums signs[e] * x[cols[e]] over the entries e with rows[e] == i, which
+    lie together in increasing column order.  terms is every (rows[e],
+    cols[e], signs[e]) in Python ints, for the fixed executor alone; it is
+    cached on first use in the instance dict this subclass has."""
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
@@ -291,37 +291,35 @@ def _row_table(mats, col_offsets) -> RowTable:
     rows = np.concatenate([r + a for (r, _), a in zip(nonzero, row_offsets)])
     cols = np.concatenate([c + a for (_, c), a in zip(nonzero, col_offsets)])
     signs = np.concatenate([m[ix] for m, ix in zip(mats, nonzero)])
-    bounds = np.searchsorted(rows, np.arange(row_offsets[-1] + 1))
-    for a in (rows, cols, signs, bounds):
+    for a in (rows, cols, signs):
         a.setflags(write=False)
-    return RowTable(rows, cols, signs, bounds)
+    return RowTable(rows, cols, signs, int(row_offsets[-1]))
 
 
 class StageTape(NamedTuple):
     """The plan lowered once, in the device's stage order.
 
     1. Input adds: row i of inputs, a signed sum of samples, is
-       intermediate i; stream k's reduced rows are starts[k]:starts[k + 1].
+       intermediate i; each stream's reduced rows follow the last stream's,
+       rank rows apiece.
     2. Multipliers: intermediate i times the ROM constant constants[slots[i]]
        (the distinct stream values in order of first appearance), or times
-       nothing where slots[i] is -1, on the unit streams (slot_list in
-       Python ints).  scale[i] is that factor as a double, 1.0 for none.
+       nothing where slots[i] is -1, on the unit streams.  scale[i] is that
+       factor as a double, 1.0 for none.
     3. Combiner adds: row k * order + j of combiners, a signed sum of the
        stacked intermediates, is row j of stream k's combiner.
     4. Stream merge, by _merge_streams in plan order; 5. DHT Re - Im.
 
-    The fixed executor runs stages 1-3 from terms and slot_list; exact mode
-    runs them as one bincount per table, times scale between; count_ops
-    counts the rows of both tables.  A row takes its terms in increasing
-    column order, which, like the stream order, decides where a narrow
-    accumulator saturates.
+    The fixed executor runs stages 1-3 from terms and slots; exact mode runs
+    them as one bincount per table, times scale between; count_ops counts
+    each table's entries per row and the slots that name a constant.  A row
+    takes its terms in increasing column order, which, like the stream
+    order, decides where a narrow accumulator saturates.
     """
 
     inputs: RowTable
-    starts: tuple[int, ...]
     constants: tuple[float, ...]
-    slots: np.ndarray
-    slot_list: tuple[int, ...]
+    slots: tuple[int, ...]
     scale: np.ndarray
     combiners: RowTable
 
@@ -350,16 +348,14 @@ class LaurentPlan:
         building a plan does not pay for it."""
         factors = [s.factor for s in self.streams]
         ranks = [f.rank for f in factors]
-        starts = np.cumsum([0] + ranks)
         constants = tuple(dict.fromkeys(s.value for s in self.streams if s.value is not None))
         slots = np.repeat([-1 if s.value is None else constants.index(s.value)
                            for s in self.streams], ranks)
         scale = np.append(constants, 1.0)[slots]  # slot -1 reads the 1.0 appended last
-        for a in (slots, scale):
-            a.setflags(write=False)
+        scale.setflags(write=False)
         return StageTape(_row_table([f.reduced_rows for f in factors], [0] * len(factors)),
-                         tuple(starts.tolist()), constants, slots, tuple(slots.tolist()), scale,
-                         _row_table([f.combiner for f in factors], starts))
+                         constants, tuple(slots.tolist()), scale,
+                         _row_table([f.combiner for f in factors], np.cumsum([0] + ranks)))
 
 
 def build_plan(n: int) -> LaurentPlan:
@@ -442,17 +438,18 @@ class OpCount:
 
 
 def count_ops(plan: LaurentPlan) -> OpCount:
-    """Structural operation count over the plan's tape; see OpCount for the
-    exact convention."""
+    """Structural operation count over the plan's tape: each table's row
+    lengths from a bincount of its rows, and one multiplication per slot that
+    names a constant.  See OpCount for the exact convention."""
     tape, n = plan.tape, plan.order
-    lengths = [np.diff(t.bounds) for t in (tape.inputs, tape.combiners)]
+    lengths = [np.bincount(t.rows, minlength=t.nrows) for t in (tape.inputs, tape.combiners)]
     adds = sum(int(np.maximum(k - 1, 0).sum()) for k in lengths)
     # how many streams reach each output row; int, since np.add on bools is a logical or
     reach = (lengths[1] > 0).astype(np.int64)
     reached = _merge_streams(plan, (reach[i:i + n] for i in range(0, reach.size, n)),
                              np.add, np.add)
     merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reached)
-    return OpCount(int(np.count_nonzero(tape.slots >= 0)), adds, merge, n)
+    return OpCount(len(tape.slots) - tape.slots.count(-1), adds, merge, n)
 
 
 _SYMBOLS = {-1: "-", 0: ".", 1: "+"}

@@ -15,28 +15,28 @@ import numpy as np
 
 def _as_signal(samples) -> np.ndarray:
     """samples as float64: ValueError unless real, 1-D and non-empty, naming the
-    first that does not fit in float64 or is not a number.  NaN and infinities
-    pass."""
-    if np.iscomplexobj(samples):
+    first that is text (str or bytes, even where numpy could parse it), does
+    not fit in float64 or is not a number.  NaN and infinities pass."""
+    v = np.asarray(samples)
+    if v.dtype.kind == "c":
         raise ValueError("samples must be real")
-    try:
-        v = np.asarray(samples, dtype=np.float64)
-    except (OverflowError, TypeError):  # an int past the largest double; a dict, an object
-        v = np.asarray(samples, dtype=object)
     if v.ndim != 1:
         raise ValueError("signal must be one-dimensional")
     if v.size == 0:
         raise ValueError("signal must contain at least one sample")
-    if v.dtype == object:  # only a refused signal pays for this scan
-        for i, s in enumerate(v):
-            try:
-                float(s)
-            except OverflowError:
-                raise ValueError(f"sample {i} does not fit in float64") from None
-            except TypeError:
-                raise ValueError(f"sample {i} ({type(s).__name__}) is not a number") from None
-        raise ValueError("samples must be real numbers")
-    return v
+    if v.dtype.kind not in "OSU":  # not objects or text: a numeric array pays only this test
+        return v.astype(np.float64, copy=False)
+    # the caller's own items, as numpy turns all of [1, 'x'] into text
+    for i, s in enumerate(v if isinstance(samples, np.ndarray) else samples):
+        if isinstance(s, (str, bytes, bytearray)):
+            raise ValueError(f"sample {i} ({type(s).__name__}) is not a number")
+        try:
+            float(s)
+        except OverflowError:
+            raise ValueError(f"sample {i} does not fit in float64") from None
+        except TypeError:
+            raise ValueError(f"sample {i} ({type(s).__name__}) is not a number") from None
+    return v.astype(np.float64)  # numbers numpy kept as objects, such as ints past int64
 
 
 def dft_matrix(n: int) -> np.ndarray:

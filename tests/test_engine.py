@@ -212,7 +212,12 @@ class TestExactMode:
             for v, message in (([0.0] * 5 + [object()] + [0.0] * 10,
                                 r"sample 5 \(object\) is not a number"),
                                ([object()] * 16, r"sample 0 \(object\) is not a number"),
-                               ({1: 2}, "signal must be one-dimensional")):
+                               ({1: 2}, "signal must be one-dimensional"),
+                               (["1.5"] + ["0"] * 15, r"sample 0 \(str\) is not a number"),
+                               (["abc"] * 16, r"sample 0 \(str\) is not a number"),
+                               ([1, "x"] + [0] * 14, r"sample 1 \(str\) is not a number"),
+                               (np.array([0.0] * 3 + [b"2"] + [0.0] * 12, dtype=object),
+                                r"sample 3 \(bytes\) is not a number")):
                 with pytest.raises(ValueError, match=rf"^{message}$"):
                     execute(plan16, v, TransformSelect.DFT, arith)
 
@@ -423,6 +428,24 @@ class TestCountOps:
         # structural constants of this factorization, pinned for regression
         assert count_ops(build_plan(n)) == OpCount(mults, adds, merge, n)
 
+    def test_recounted_from_the_factors(self):
+        # count_ops reads the tape; recount every field from the dense factors:
+        # t nonzeros in a reduced or combiner row are t - 1 adds, a row of one
+        # accumulator reached by t streams' combiners is t - 1 merge adds, and
+        # each weighted stream multiplies its rank
+        for n in range(4, 129, 4):
+            plan = build_plan(n)
+            adds = mults = 0
+            reach = {"re": np.zeros(n, dtype=int), "im": np.zeros(n, dtype=int)}
+            for s in plan.streams:
+                f = s.factor
+                for mat in (f.reduced_rows, f.combiner):
+                    adds += int(np.maximum(np.count_nonzero(mat, axis=1) - 1, 0).sum())
+                reach[s.dest] += f.combiner.any(axis=1)
+                mults += 0 if s.value is None else f.rank
+            merge = sum(int(np.maximum(r - 1, 0).sum()) for r in reach.values())
+            assert count_ops(plan) == OpCount(mults, adds, merge, n), n
+
     def test_executed_adds_at_order_16(self, plan16, monkeypatch):
         # The engine runs more adds than count_ops reports (152 on a DFT, plus
         # 16 on a DHT): every row starts from zero and every stream merge
@@ -498,13 +521,13 @@ class TestCountOps:
         # the tape gives the zero stream no intermediates, no input entries
         # and N empty combiner rows; its constant gets a ROM slot nothing reads
         g, h = padded.tape, plan16.tape
-        assert g.starts == h.starts + (h.starts[-1],)
+        assert g.inputs.nrows == h.inputs.nrows == len(g.slots) == len(h.slots)
         assert g.constants == h.constants + (0.5,)
-        assert all(np.array_equal(a, b) for a, b in zip((*g.inputs, g.slots, g.scale),
-                                                        (*h.inputs, h.slots, h.scale)))
+        assert g.slots == h.slots
+        assert all(np.array_equal(a, b) for a, b in zip((*g.inputs, g.scale),
+                                                        (*h.inputs, h.scale)))
         assert all(np.array_equal(a, b) for a, b in zip(g.combiners[:3], h.combiners[:3]))
-        assert np.array_equal(g.combiners.bounds, np.append(h.combiners.bounds,
-                                                            [h.combiners.bounds[-1]] * 16))
+        assert g.combiners.nrows == h.combiners.nrows + 16 == len(padded.streams) * 16
         v = np.array(FULL_SCALE_RAWS) / 128
         for arith in ("exact", FixedConfig(acc_total_bits=16)):
             a = execute(padded, v, TransformSelect.DFT, arith)

@@ -438,19 +438,22 @@ class TestBuildPlan:
         # factors, row by row with columns increasing, and nothing else
         for n in range(4, 129, 4):
             plan = build_plan(n)
-            tape, width = plan.tape, plan.tape.starts[-1]
+            tape = plan.tape
+            starts = np.cumsum([0] + [s.factor.rank for s in plan.streams]).tolist()
+            width = starts[-1]
+            assert tape.inputs.nrows == len(tape.slots) == width, n
+            assert tape.combiners.nrows == len(plan.streams) * n, n
             for table in (tape.inputs, tape.combiners):
-                rows, cols, bounds = table.rows, table.cols, table.bounds
-                assert bounds[0] == 0 and bounds[-1] == rows.size == cols.size, n
-                lengths = np.diff(bounds)
-                assert np.array_equal(rows, np.repeat(np.arange(lengths.size), lengths)), n
+                rows, cols = table.rows, table.cols
+                assert rows.size == cols.size == table.signs.size, n
+                assert (np.diff(rows) >= 0).all() and (rows < table.nrows).all(), n
                 assert (np.diff(cols)[np.diff(rows) == 0] > 0).all(), n
                 assert np.isin(table.signs, (-1, 1)).all(), n
             inputs = np.zeros((width, n))
             inputs[tape.inputs.rows, tape.inputs.cols] = tape.inputs.signs
             combiners = np.zeros((len(plan.streams) * n, width))
             combiners[tape.combiners.rows, tape.combiners.cols] = tape.combiners.signs
-            for k, (s, a, b) in enumerate(zip(plan.streams, tape.starts, tape.starts[1:])):
+            for k, (s, a, b) in enumerate(zip(plan.streams, starts, starts[1:])):
                 f, mine = s.factor, combiners[k * n:(k + 1) * n]
                 assert np.array_equal(inputs[a:b], f.reduced_rows), (n, s.label)
                 assert np.array_equal(mine[:, a:b], f.combiner), (n, s.label)
@@ -463,12 +466,13 @@ class TestBuildPlan:
             plan = build_plan(n)
             tape = plan.tape
             values = [s.value for s in plan.streams]
+            starts = np.cumsum([0] + [s.factor.rank for s in plan.streams]).tolist()
             assert tape.constants == tuple(dict.fromkeys(v for v in values if v is not None))
-            assert tape.slots.size == tape.scale.size == tape.starts[-1]
-            for s, a, b in zip(plan.streams, tape.starts, tape.starts[1:]):
-                assert b - a == s.factor.rank, (n, s.label)
+            assert all(type(k) is int for k in tape.slots), n
+            assert len(tape.slots) == tape.scale.size == starts[-1]
+            for s, a, b in zip(plan.streams, starts, starts[1:]):
                 slot = -1 if s.value is None else tape.constants.index(s.value)
-                assert (tape.slots[a:b] == slot).all(), (n, s.label)
+                assert tape.slots[a:b] == (slot,) * (b - a), (n, s.label)
                 assert (tape.scale[a:b] == (1.0 if s.value is None else s.value)).all()
 
     def test_plan_matrices_are_read_only(self):

@@ -62,8 +62,16 @@ class TestDftDirect:
         ([0, 10**400, object()], "sample 1 does not fit in float64"),
         # numpy reads a dict or an object as one scalar, so the shape is named
         ({1: 2}, "signal must be one-dimensional"),
-        (object(), "signal must be one-dimensional")],
-        ids=["objects", "dict-sample", "beyond-float64-first", "dict", "object"])
+        (object(), "signal must be one-dimensional"),
+        # text is not a sample, even where numpy could parse it; numpy turns
+        # all of [1, 'x'] into text, yet the caller's first text item is named
+        ([b"2", "1e1"], r"sample 0 \(bytes\) is not a number"),
+        (["1.5", "0", "0", "0"], r"sample 0 \(str\) is not a number"),
+        ([1, "x", 0, 0], r"sample 1 \(str\) is not a number"),
+        (np.array(["1", "2"]), r"sample 0 \(str_\) is not a number"),
+        (np.array([1.0, b"2"], dtype=object), r"sample 1 \(bytes\) is not a number")],
+        ids=["objects", "dict-sample", "beyond-float64-first", "dict", "object",
+             "bytes-and-str", "numeric-str", "str-after-int", "text-array", "bytes-in-objects"])
     def test_unreadable_samples_rejected(self, oracle, bad, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             oracle(bad)
