@@ -56,6 +56,8 @@ class FixedConfig:
     acc_total_bits: int = 32
 
     def __post_init__(self):
+        if not isinstance(self.fmt, QFormat):
+            raise ValueError(f"fmt must be a QFormat, got {self.fmt!r}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
         _index_width(self, "acc_total_bits", "accumulator width")
@@ -196,10 +198,14 @@ class QuantizationReport:
 
 def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = None,
                         select: TransformSelect = TransformSelect.DFT) -> QuantizationReport:
-    """Relative error of the fixed-point run against the exact run."""
+    """Relative error of the fixed-point run against the exact run.  cfg is
+    a FixedConfig, or None for DEFAULT_CONFIG."""
+    cfg = DEFAULT_CONFIG if cfg is None else cfg
+    if not isinstance(cfg, FixedConfig):
+        raise ValueError(f"cfg must be a FixedConfig or None, got {cfg!r}")
     select = TransformSelect(select)
     exact = execute(plan, samples, select, "exact").values
-    fixed = execute(plan, samples, select, cfg or DEFAULT_CONFIG).values
+    fixed = execute(plan, samples, select, cfg).values
     names = ["h"]
     if select is TransformSelect.DFT:
         names = ["re", "im"]

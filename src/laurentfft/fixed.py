@@ -4,7 +4,8 @@ A value is an integer raw scaled by 2**frac_bits (Q notation: a 16-bit word
 with 7 fraction bits is Q8.7 -- one sign bit, eight integer bits, seven
 fraction bits).  All arithmetic is exact integer arithmetic with a single
 rounding at the end of a multiply, so results are bit-reproducible across
-runs and platforms.  A Fixed is an immutable (raw, fmt) named tuple.
+runs and platforms.  A Fixed is an immutable (raw, fmt) named tuple whose
+raw is a plain int.
 """
 
 from __future__ import annotations
@@ -69,9 +70,36 @@ class OverflowFlag:
         self.overflow = True
 
 
-class Fixed(NamedTuple):
+# _tuple_new(Fixed, (raw, fmt)) is the same exact Fixed as Fixed(raw, fmt)
+# for an int raw, without Fixed.__new__ and its check of the raw: the ops'
+# unchecked path.  Every op builds its result with it from ints it already
+# holds; the note above fx_add says why.
+_tuple_new = tuple.__new__
+
+
+class _FixedFields(NamedTuple):
     raw: int
     fmt: QFormat
+
+
+class Fixed(_FixedFields):
+    """An integer raw in a QFormat word.  Fixed(raw, fmt) keeps the plain
+    int that operator.index gives for raw, so a numpy integer computes as
+    the Python int it holds; a raw that is not an integer, such as 1.5, is
+    a ValueError naming it.  The ops skip that check: see _tuple_new."""
+
+    __slots__ = ()
+
+    def __new__(cls, raw, fmt: QFormat):
+        try:
+            raw = operator.index(raw)
+        except TypeError:
+            raise ValueError(f"Fixed raw must be an integer, got {raw!r}") from None
+        return _tuple_new(cls, (raw, fmt))
+
+    @classmethod
+    def _make(cls, iterable):  # so _replace checks its raw too
+        return cls(*iterable)
 
     @property
     def value(self) -> float:
@@ -81,12 +109,6 @@ class Fixed(NamedTuple):
         """Raw as zero-padded two's-complement hex (4 digits for 16-bit)."""
         nibbles = (self.fmt.total_bits + 3) // 4
         return format(self.raw & ((1 << self.fmt.total_bits) - 1), f"0{nibbles}X")
-
-
-# _tuple_new(Fixed, (raw, fmt)) is the same exact Fixed as Fixed(raw, fmt),
-# without the named tuple's Python-level __new__.  Every op builds its result
-# with it; the note above fx_add says why.
-_tuple_new = tuple.__new__
 
 
 def _div_round(num: int, den: int, rounding: str) -> int:
@@ -145,8 +167,8 @@ def widen(a: Fixed, total_bits: int) -> Fixed:
 
 # fx_add and fx_sub are the hot path of the fixed executor: they unpack the
 # tuples, test the range inline, call _saturate only when it fails and build
-# the result with _tuple_new, never Fixed(...): the named tuple's __new__
-# costs two to three times as much, which would be over half of an add.
+# the result with _tuple_new, never Fixed(...): Fixed.__new__, which checks
+# the raw, costs nearly twice as much, some 40% more on an add.
 def fx_add(a: Fixed, b: Fixed, flags: OverflowFlag | None = None) -> Fixed:
     raw, fmt = a
     b_raw, b_fmt = b

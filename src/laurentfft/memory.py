@@ -22,6 +22,7 @@ nothing.
 
 from __future__ import annotations
 
+import math
 import operator
 import os
 import stat
@@ -37,8 +38,10 @@ _WORD16 = 0xFFFF
 _WORD32 = 0xFFFFFFFF
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
-_WORD_RANGES = {"input": (-0x8000, 0x7FFF, "signed 16-bit integers [-32768, 32767]"),
-                "output": (0, _WORD32, "32 bits [0, 2**32)")}
+# (lo, hi, what a value that is not an integer in [lo, hi] is) for _checked_ints
+_INPUT_WORD = (-0x8000, 0x7FFF, "is outside signed 16-bit integers [-32768, 32767]")
+_OUTPUT_WORD = (0, _WORD32, "is outside 32 bits [0, 2**32)")
+_ANY_INT = (-math.inf, math.inf, "is not an integer")
 
 
 class StimulusFormatError(ValueError):
@@ -49,9 +52,9 @@ class StimulusFormatError(ValueError):
 class MemoryImage:
     """Value snapshot of the device memory.
 
-    Input words must be integers in signed 16-bit range (ValueError names
-    the first that is not); select is stored as a TransformSelect, whatever its
-    spelling.
+    Input words must be integers in signed 16-bit range, Python or numpy
+    (ValueError names the first that is not), and are stored as Python
+    ints; select is stored as a TransformSelect, whatever its spelling.
     """
 
     input_words: tuple[int, ...]
@@ -60,22 +63,27 @@ class MemoryImage:
     overflow: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "input_words", _checked_words(self.input_words, "input"))
+        object.__setattr__(self, "input_words",
+                           _checked_ints(self.input_words, "input word", _INPUT_WORD))
         object.__setattr__(self, "select", TransformSelect(self.select))
 
 
-def _checked_words(words, field: str) -> tuple:
-    """words as a tuple.  ValueError names the first that is not an integer
-    in the field's range: masked to the field, it would store another word."""
-    words, (lo, hi, span) = tuple(words), _WORD_RANGES[field]
-    for i, w in enumerate(words):
+def _checked_ints(values, name: str, limits=_ANY_INT) -> tuple[int, ...]:
+    """values as a tuple of the plain ints that operator.index gives for
+    them, so a numpy integer is kept as the Python int it holds.  ValueError
+    names the first that is not an integer in [lo, hi]: masked to a word,
+    it would store another word."""
+    lo, hi, fault = limits
+    ints = []
+    for i, v in enumerate(values):
         try:
-            ok = lo <= operator.index(w) <= hi
+            w = operator.index(v)
         except TypeError:
-            ok = False
-        if not ok:
-            raise ValueError(f"{field} word {i} = {w} is outside {span}")
-    return words
+            w = None
+        if w is None or not lo <= w <= hi:
+            raise ValueError(f"{name} {i} = {v} {fault}")
+        ints.append(w)
+    return tuple(ints)
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
@@ -84,19 +92,15 @@ def _half_word(raw: int, flags: OverflowFlag | None) -> int:
     return raw & _WORD16
 
 
-def _sign_extend16(half: int) -> int:
-    half &= _WORD16
-    return half - 0x10000 if half & 0x8000 else half
-
-
 def pack_output(spectrum, select: TransformSelect | None = None,
                 flags: OverflowFlag | None = None) -> tuple[int, ...]:
     """Pack a fixed-mode result into 32-bit output words.
 
     Accepts a fixed-mode TransformResult, which carries its select, or raw
-    ints and a select (a TransformSelect or its name in any case): (re, im)
-    pairs for DFT, plain ints for DHT.  Raws beyond 16 bits saturate and
-    mark the flags context when one is supplied.
+    integers and a select (a TransformSelect or its name in any case):
+    (re, im) pairs for DFT, single raws for DHT.  A raw may be a Python or
+    numpy integer; ValueError names the first that is not.  Raws beyond 16
+    bits saturate and mark the flags context when one is supplied.
     """
     if isinstance(spectrum, TransformResult):
         if spectrum.real_raw is None:
@@ -108,7 +112,12 @@ def pack_output(spectrum, select: TransformSelect | None = None,
         if select is TransformSelect.DFT:
             pairs = zip(pairs, spectrum.imag_raw)
     else:
-        select, pairs = TransformSelect(select), spectrum
+        select, pairs = TransformSelect(select), tuple(spectrum)
+        if select is TransformSelect.DFT:
+            re_raw, im_raw = zip(*pairs, strict=True) if pairs else ((), ())
+            pairs = zip(_checked_ints(re_raw, "real raw"), _checked_ints(im_raw, "imaginary raw"))
+        else:
+            pairs = _checked_ints(pairs, "raw")
 
     if select is TransformSelect.DFT:
         return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
@@ -117,16 +126,18 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
 
 def unpack_output(words, select: TransformSelect):
-    """Inverse of pack_output: recover signed 16-bit raws.  A word outside
-    [0, 2**32), or a DHT word whose upper half is not zero, raises
-    ValueError naming its index."""
-    select, words = TransformSelect(select), _checked_words(words, "output")
+    """Inverse of pack_output: recover signed 16-bit raws as Python ints.  A
+    word that is not an integer in [0, 2**32), or a DHT word whose upper
+    half is not zero, raises ValueError naming its index."""
+    select, words = TransformSelect(select), _checked_ints(words, "output word", _OUTPUT_WORD)
+    # each 16-bit half h sign-extended as (h ^ 0x8000) - 0x8000
     if select is TransformSelect.DFT:
-        return tuple((_sign_extend16(w >> 16), _sign_extend16(w)) for w in words)
+        return tuple((((w >> 16) ^ 0x8000) - 0x8000, ((w & _WORD16) ^ 0x8000) - 0x8000)
+                     for w in words)
     for i, w in enumerate(words):
         if w > _WORD16:
             raise ValueError(f"DHT output word {i} = {w:#010x} has a nonzero upper half")
-    return tuple(_sign_extend16(w) for w in words)
+    return tuple((w ^ 0x8000) - 0x8000 for w in words)
 
 
 def run_device(image: MemoryImage, plan: LaurentPlan,
@@ -189,7 +200,7 @@ def load_stimulus(path) -> MemoryImage:
         names = " or ".join(f"'SELECT {name}'" for name in TransformSelect.__members__)
         raise StimulusFormatError(f"{path}:{header_no}: expected {names}, got {header!r}")
     select = TransformSelect[parts[1]]
-    # each 16-bit word sign-extended, as _sign_extend16 would, without a call per word
+    # each 16-bit word h sign-extended as (h ^ 0x8000) - 0x8000
     words = tuple([(w ^ 0x8000) - 0x8000 for w in _hex_words(path, lines, 4, header_no)])
     if not words:
         raise StimulusFormatError(f"{path}: stimulus contains no input words")
@@ -230,8 +241,9 @@ def write_stimulus(image: MemoryImage, path):
 
 
 def write_output_words(words, path):
-    """One 32-bit hex word per line; a word outside [0, 2**32) raises as in unpack_output."""
-    words = _checked_words(words, "output")
+    """One 32-bit hex word per line.  Words may be Python or numpy integers;
+    one that is not an integer in [0, 2**32) raises as in unpack_output."""
+    words = _checked_ints(words, "output word", _OUTPUT_WORD)
     _overwrite_text(path, "%08X\n" * len(words) % words)
 
 

@@ -1,6 +1,7 @@
 """Engine behavior: agreement with the direct oracle, bit-exact device
 arithmetic on the golden 16-point vector, and structural op counts."""
 
+import re
 import warnings
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -401,6 +402,11 @@ class TestFixedConfig:
         with pytest.raises(ValueError, match=rf"accumulator width .* got {bits}"):
             FixedConfig(acc_total_bits=bits)
 
+    @pytest.mark.parametrize("fmt", [(16, 7), None])
+    def test_format_must_be_a_qformat(self, fmt):
+        with pytest.raises(ValueError, match=f"fmt must be a QFormat, got {re.escape(repr(fmt))}"):
+            FixedConfig(fmt=fmt)
+
     def test_accumulator_format_built_once(self):
         cfg = FixedConfig(acc_total_bits=18)
         assert cfg.acc_fmt is cfg.acc_fmt
@@ -585,6 +591,13 @@ class TestQuantizationReport:
         rep = quantization_report(plan16, RAMP2, select=TransformSelect.DHT)
         assert rep.max_rel_error <= 0.0035
         assert 2 in rep.dominant_bins
+
+    @pytest.mark.parametrize("cfg", ["exact", QFormat(16, 7)])
+    def test_config_must_be_a_fixed_config(self, plan16, cfg):
+        # "exact" would run exact mode twice and report no error at all
+        message = f"cfg must be a FixedConfig or None, got {cfg!r}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            quantization_report(plan16, np.ones(16), cfg)
 
     def test_impulse_has_zero_error(self, plan16):
         rep = quantization_report(plan16, [1.0] + [0.0] * 15)

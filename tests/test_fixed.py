@@ -135,6 +135,29 @@ class TestFixedValue:
         assert repr(Fixed(5, QFormat(16, 7))) == \
             "Fixed(raw=5, fmt=QFormat(total_bits=16, frac_bits=7))"
 
+    @pytest.mark.parametrize("raw", [np.int16(-300), np.uint32(300), np.int64(-300)])
+    def test_numpy_raw_kept_as_int(self, raw):
+        x = Fixed(raw, Q16_7)
+        assert type(x.raw) is int and x == Fixed(int(raw), Q16_7)
+
+    def test_numpy_raws_compute_as_ints(self):
+        # as int16 scalars the sum wraps to -5536 and the product to -43
+        flags = OverflowFlag()
+        big = Fixed(np.int16(30000), Q16_7)
+        assert fx_add(big, big, flags).raw == 32767 and flags.overflow
+        assert fx_mul(Fixed(np.int16(200), Q16_7), Fixed(np.int16(300), Q16_7)).raw == 469
+
+    @pytest.mark.parametrize("raw", [1.5, 2.0, "3", None])
+    def test_non_integer_raw_rejected(self, raw):
+        with pytest.raises(ValueError, match=rf"Fixed raw must be an integer, got {raw!r}"):
+            Fixed(raw, Q16_7)
+        with pytest.raises(ValueError, match=rf"Fixed raw must be an integer, got {raw!r}"):
+            Fixed(0, Q16_7)._replace(raw=raw)
+
+    def test_replace_keeps_an_int_raw(self):
+        x = Fixed(0, Q16_7)._replace(raw=np.int16(-300))
+        assert type(x) is Fixed and type(x.raw) is int and x == Fixed(-300, Q16_7)
+
 
 class TestAddSub:
     def test_basic(self):

@@ -101,6 +101,25 @@ class TestPacking:
         with pytest.raises(ValueError):
             pack_output(exact)
 
+    def test_numpy_words_unpack_to_ints(self):
+        # as uint32 the upper half would not sign-extend; as uint16 a half
+        # would overflow on its way through
+        assert unpack_output(np.array([0xFFFF0002], dtype=np.uint32), "dft") == ((-1, 2),)
+        assert unpack_output(np.array([0xFFFF], dtype=np.uint16), "dht") == (-1,)
+
+    @pytest.mark.parametrize("dtype", [np.int16, np.int32])
+    def test_numpy_raws_pack_as_ints(self, dtype):
+        words = pack_output([(dtype(-1), dtype(2))], "dft")
+        assert words == (0xFFFF0002,) and type(words[0]) is int
+
+    @pytest.mark.parametrize("spectrum, select, message", [
+        ([0, 1.5], "dht", "raw 1 = 1.5 is not an integer"),
+        ([(0, 0), (1.5, 0)], "dft", "real raw 1 = 1.5 is not an integer"),
+        ([(0, 0), (0, "1")], "dft", "imaginary raw 1 = 1 is not an integer")])
+    def test_non_integer_raw_named(self, spectrum, select, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pack_output(spectrum, select)
+
     def test_oversized_raw_saturates_and_flags(self):
         flags = OverflowFlag()
         words = pack_output([(40000, -40000)], TransformSelect.DFT, flags)
