@@ -71,6 +71,13 @@ class FixedConfig:
 DEFAULT_CONFIG = FixedConfig()  # the device's Q8.7 words and 32-bit accumulators
 
 
+def _fixed_config(cfg) -> FixedConfig:
+    """cfg, or DEFAULT_CONFIG for None; ValueError names anything else."""
+    if cfg is not None and not isinstance(cfg, FixedConfig):
+        raise ValueError(f"cfg must be a FixedConfig or None, got {cfg!r}")
+    return DEFAULT_CONFIG if cfg is None else cfg
+
+
 @dataclass(frozen=True)
 class TransformResult:
     """Transform output.  values holds complex bins for DFT, real bins for
@@ -200,10 +207,7 @@ def quantization_report(plan: LaurentPlan, samples, cfg: FixedConfig | None = No
                         select: TransformSelect = TransformSelect.DFT) -> QuantizationReport:
     """Relative error of the fixed-point run against the exact run.  cfg is
     a FixedConfig, or None for DEFAULT_CONFIG."""
-    cfg = DEFAULT_CONFIG if cfg is None else cfg
-    if not isinstance(cfg, FixedConfig):
-        raise ValueError(f"cfg must be a FixedConfig or None, got {cfg!r}")
-    select = TransformSelect(select)
+    cfg, select = _fixed_config(cfg), TransformSelect(select)
     exact = execute(plan, samples, select, "exact").values
     fixed = execute(plan, samples, select, cfg).values
     names = ["h"]

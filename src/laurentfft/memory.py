@@ -30,7 +30,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import DEFAULT_CONFIG, FixedConfig, TransformResult, TransformSelect, execute
+from .engine import FixedConfig, TransformResult, TransformSelect, _fixed_config, execute
 from .fixed import OverflowFlag, QFormat, _saturate
 from .plan import LaurentPlan
 
@@ -52,9 +52,10 @@ class StimulusFormatError(ValueError):
 class MemoryImage:
     """Value snapshot of the device memory.
 
-    Input words must be integers in signed 16-bit range, Python or numpy
-    (ValueError names the first that is not), and are stored as Python
-    ints; select is stored as a TransformSelect, whatever its spelling.
+    Input words in signed 16-bit range and output words (unless None) in
+    [0, 2**32) may be Python or numpy integers and are stored as Python ints
+    (ValueError names the first that is not); select is stored as a
+    TransformSelect, whatever its spelling, and overflow (True or False) as a bool.
     """
 
     input_words: tuple[int, ...]
@@ -63,9 +64,15 @@ class MemoryImage:
     overflow: bool = False
 
     def __post_init__(self):
+        if not isinstance(self.overflow, (bool, np.bool_)):
+            raise ValueError(f"overflow must be True or False, got {self.overflow!r}")
+        out = self.output_words
         object.__setattr__(self, "input_words",
                            _checked_ints(self.input_words, "input word", _INPUT_WORD))
         object.__setattr__(self, "select", TransformSelect(self.select))
+        object.__setattr__(self, "output_words",
+                           None if out is None else _checked_ints(out, "output word", _OUTPUT_WORD))
+        object.__setattr__(self, "overflow", bool(self.overflow))
 
 
 def _checked_ints(values, name: str, limits=_ANY_INT) -> tuple[int, ...]:
@@ -142,8 +149,8 @@ def unpack_output(words, select: TransformSelect):
 
 def run_device(image: MemoryImage, plan: LaurentPlan,
                cfg: FixedConfig | None = None) -> MemoryImage:
-    """Model one device pass: load, run the core block, pack, store."""
-    cfg = cfg or DEFAULT_CONFIG
+    """Model one device pass: load, run the core block, pack, store (cfg None: DEFAULT_CONFIG)."""
+    cfg = _fixed_config(cfg)
     samples = np.array(image.input_words, dtype=np.float64) / cfg.fmt.scale
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()

@@ -18,21 +18,18 @@ first column of each group and R the +-1 that places it in every member,
 so the scalar multiplies just one intermediate value per group.  In every
 plan matrix the groups' first columns are linearly independent, so that
 count is rank(T) and R is the reduced row-echelon form of T.  A factor
-stores only C and R: its rank is the width of C, and whether that rank is
-optimal (C's columns independent) is computed on first read and cached, so
-building a plan does not run the independence test.
+stores C and R once, as tables of their nonzeros.
 
 A plan is one flat tuple of streams.  A stream is one factored ternary
 matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
-LaurentPlan.tape lowers the streams once, on first use, to the device's
-stages; both executors and count_ops read it.  The merge rule
-lives in _merge_streams alone, over the streams.  Only reconstruct and
-format_plan read the dense int8 factors.
+LaurentPlan.tape stacks the streams' tables once, on first use, into the
+device's stages; both executors and count_ops read it.  The merge rule
+lives in _merge_streams alone, over the streams.
 
-Every built plan is checked against the direct DFT matrix before it is
-returned; a plan that fails to reconstruct is a construction bug, not a
-caller error.
+Every built plan is checked by reconstruct, on the tables the executors
+run, against the direct DFT matrix before it is returned; a plan that
+fails to reconstruct is a construction bug, not a caller error.
 """
 
 from __future__ import annotations
@@ -49,13 +46,11 @@ from .reference import dft_matrix
 
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
-# fails at once instead of building for long.  The slowest build is not the
-# largest: on one pinned CPU of a 2-vCPU Xeon machine (Python 3.11, numpy
-# 2.4), build_plan(256) takes 0.10 s at 36 MB peak RSS, build_plan(512)
-# 0.70-0.79 s at 61-62 MB, and build_plan(508) 0.90-1.15 s at 83 MB, 32 MB of
-# it the plan's int8 factors, whose ranks sum to 31760 against 14576 at
-# N = 512.  The first read of plan.optimal then adds 0.98-1.08 s at N = 508
-# and under 0.06 s at 512.  The spread follows the machine's load.
+# fails at once.  On one pinned CPU of a 2-vCPU Xeon (Python 3.11, numpy 2.4)
+# build_plan(256) takes 0.09 s at 35 MB peak RSS, build_plan(512) 0.67 s at
+# 50 MB and the slowest, build_plan(508) (ranks summing to 31760, against
+# 14576 at N = 512), 0.57-0.80 s at 52 MB; the first read of its optimal
+# adds 0.57-0.59 s (0.05 s at 512).  The spread follows the machine's load.
 MAX_ORDER = 512
 # Prime for the independence test behind FactoredTernary.optimal; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
@@ -149,28 +144,58 @@ def _as_ternary(mat: np.ndarray) -> np.ndarray:
     raise PlanConstructionError("matrix entries escaped {-1, 0, +1}")
 
 
+class RowTable(NamedTuple("RowTable", [("rows", np.ndarray), ("cols", np.ndarray),
+                                       ("signs", np.ndarray), ("nrows", int)])):
+    """The nonzero entries of ternary matrices, read-only, stacked row on row:
+    row i of nrows sums signs[e] * x[cols[e]] over the entries e with rows[e]
+    == i, which lie together in increasing column order.  terms is every
+    (rows[e], cols[e], signs[e]) in Python ints, for the fixed executor alone;
+    it is cached on first use in the instance dict this subclass has."""
+
+    def __new__(cls, rows, cols, signs, nrows):
+        for a in (rows, cols, signs):
+            a.setflags(write=False)
+        return super().__new__(cls, rows, cols, signs, nrows)
+
+    @functools.cached_property
+    def terms(self) -> tuple[tuple[int, int, int], ...]:
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.signs.astype(int).tolist()))
+
+    def dense(self, ncols: int) -> np.ndarray:
+        """The table as a read-only (nrows, ncols) int8 matrix, built on each call."""
+        mat = np.zeros((self.nrows, ncols), dtype=np.int8)
+        mat[self.rows, self.cols] = self.signs
+        mat.setflags(write=False)
+        return mat
+
+
 @dataclass(frozen=True, eq=False)
 class FactoredTernary:
     """Rank factorization T = combiner @ reduced_rows with ternary factors.
 
-    The two factors are all it stores: the read-only int8 arrays that
-    echelon_factor builds.  The executors and count_ops read their nonzero
-    entries from LaurentPlan.tape.  product() returns T as int64.  rank is
-    the inner dimension, i.e. how many intermediate values a scalar weight
-    must multiply: one per group of columns of T that are equal up to sign.
-    At rank 0 the factors are (rows, 0) and (0, cols) arrays, so every
-    product with them is a correctly shaped zero.  optimal is True when the
-    combiner columns are linearly independent, so that rank is the rational
-    rank of T; otherwise rank exceeds it.  It is computed on first read and
-    cached, so building a plan does not pay for the independence test.
+    Each factor is stored once, as its RowTable, with T's width.  combiner
+    and reduced_rows are read-only int8 matrices built from the tables on
+    each read; product() returns T as int64.  rank, the inner dimension, is
+    the number of groups of T's columns equal up to sign.  optimal, True when
+    the combiner columns are independent (so rank is T's rational rank), is
+    computed on first read and cached.
     """
 
-    combiner: np.ndarray
-    reduced_rows: np.ndarray
+    reduced_table: RowTable
+    combiner_table: RowTable
+    width: int
 
     @property
     def rank(self) -> int:
-        return self.combiner.shape[1]
+        return self.reduced_table.nrows
+
+    @property
+    def reduced_rows(self) -> np.ndarray:
+        return self.reduced_table.dense(self.width)
+
+    @property
+    def combiner(self) -> np.ndarray:
+        return self.combiner_table.dense(self.rank)
 
     @functools.cached_property
     def optimal(self) -> bool:
@@ -224,14 +249,11 @@ def echelon_factor(mat) -> FactoredTernary:
     holds the first (pivot) column of each group; the group's reduced row is
     +1 at the pivot and, at every other member, that member's sign relative
     to the pivot, so every column of reduced_rows has at most one nonzero.
-    Grouping and the reproduction check run on the int8 matrix, and
-    FactoredTernary keeps both factors in int8.  The product reproduces the
-    input exactly.  When the pivot columns are independent the reduced rows
-    are the reduced row-echelon form and rank is the rational rank.  A
-    matrix whose distinct columns are dependent, such as
-    [[1, 0, 1], [0, 1, 1]], keeps one row per group and reads non-optimal
-    (rank 3 there, against a rational rank of 2).  The independence test
-    behind optimal runs on the combiner when optimal is first read, not here.
+    Both are kept as tables of their nonzeros once their product reproduces
+    the input exactly.  With independent pivot columns the reduced rows are
+    the reduced row-echelon form and rank is the rational rank; a matrix with
+    dependent distinct columns, such as [[1, 0, 1], [0, 1, 1]], keeps one row
+    per group and reads non-optimal (rank 3, against a rational rank of 2).
     """
     t = _as_ternary(mat)
     cols = np.flatnonzero(t.any(axis=0))
@@ -246,11 +268,11 @@ def echelon_factor(mat) -> FactoredTernary:
     sign = lead * lead[first][g]
     if not (combiner[:, g] * sign == sub).all():
         raise PlanConstructionError("column grouping failed to reproduce the matrix")
-    reduced = np.zeros((first.size, t.shape[1]), dtype=np.int8)
-    reduced[g, cols] = sign
-    for a in (combiner, reduced):
-        a.setflags(write=False)
-    return FactoredTernary(combiner, reduced)
+    by_group = np.argsort(g, kind="stable")  # keeps each row's columns increasing
+    rows, pivot_cols = np.nonzero(combiner)
+    return FactoredTernary(RowTable(g[by_group], cols[by_group], sign[by_group], first.size),
+                           RowTable(rows, pivot_cols, combiner[rows, pivot_cols], t.shape[0]),
+                           t.shape[1])
 
 
 @dataclass(frozen=True, eq=False)
@@ -268,32 +290,6 @@ class Stream:
     factor: FactoredTernary
     dest: str
     sign: int
-
-
-class RowTable(NamedTuple("RowTable", [("rows", np.ndarray), ("cols", np.ndarray),
-                                       ("signs", np.ndarray), ("nrows", int)])):
-    """The nonzero entries of ternary matrices stacked row on row: row i of
-    nrows sums signs[e] * x[cols[e]] over the entries e with rows[e] == i, which
-    lie together in increasing column order.  terms is every (rows[e],
-    cols[e], signs[e]) in Python ints, for the fixed executor alone; it is
-    cached on first use in the instance dict this subclass has."""
-
-    @functools.cached_property
-    def terms(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.signs.astype(int).tolist()))
-
-
-def _row_table(mats, col_offsets) -> RowTable:
-    """Stack mats row on row, adding col_offsets[k] to the columns of mats[k]."""
-    # np.nonzero walks each matrix row by row, in increasing column order
-    nonzero = [np.nonzero(m) for m in mats]
-    row_offsets = np.cumsum([0] + [m.shape[0] for m in mats])
-    rows = np.concatenate([r + a for (r, _), a in zip(nonzero, row_offsets)])
-    cols = np.concatenate([c + a for (_, c), a in zip(nonzero, col_offsets)])
-    signs = np.concatenate([m[ix] for m, ix in zip(mats, nonzero)])
-    for a in (rows, cols, signs):
-        a.setflags(write=False)
-    return RowTable(rows, cols, signs, int(row_offsets[-1]))
 
 
 class StageTape(NamedTuple):
@@ -324,6 +320,14 @@ class StageTape(NamedTuple):
     combiners: RowTable
 
 
+def _stack(tables, col_offsets) -> RowTable:
+    """Stack tables row on row, adding col_offsets[k] to the columns of tables[k]."""
+    row_offsets = np.cumsum([0] + [t.nrows for t in tables])
+    return RowTable(np.concatenate([t.rows + a for t, a in zip(tables, row_offsets)]),
+                    np.concatenate([t.cols + a for t, a in zip(tables, col_offsets)]),
+                    np.concatenate([t.signs for t in tables]), int(row_offsets[-1]))
+
+
 @dataclass(frozen=True, eq=False)
 class LaurentPlan:
     """The transform as one flat tuple of streams.
@@ -344,8 +348,7 @@ class LaurentPlan:
 
     @functools.cached_property
     def tape(self) -> StageTape:
-        """The streams lowered to one StageTape; computed on first use, so
-        building a plan does not pay for it."""
+        """The streams' tables stacked into one StageTape, on first use."""
         factors = [s.factor for s in self.streams]
         ranks = [f.rank for f in factors]
         constants = tuple(dict.fromkeys(s.value for s in self.streams if s.value is not None))
@@ -353,9 +356,9 @@ class LaurentPlan:
                            for s in self.streams], ranks)
         scale = np.append(constants, 1.0)[slots]  # slot -1 reads the 1.0 appended last
         scale.setflags(write=False)
-        return StageTape(_row_table([f.reduced_rows for f in factors], [0] * len(factors)),
+        return StageTape(_stack([f.reduced_table for f in factors], [0] * len(factors)),
                          constants, tuple(slots.tolist()), scale,
-                         _row_table([f.combiner for f in factors], np.cumsum([0] + ranks)))
+                         _stack([f.combiner_table for f in factors], np.cumsum([0] + ranks)))
 
 
 def build_plan(n: int) -> LaurentPlan:
@@ -452,11 +455,7 @@ def count_ops(plan: LaurentPlan) -> OpCount:
     return OpCount(len(tape.slots) - tape.slots.count(-1), adds, merge, n)
 
 
-_SYMBOLS = {-1: "-", 0: ".", 1: "+"}
-
-
-def _rows_to_text(mat: np.ndarray, indent: str) -> list[str]:
-    return [indent + "".join(_SYMBOLS[int(x)] for x in row) for row in mat]
+_SYMBOLS = np.array(list("-.+"))  # a ternary entry x prints as _SYMBOLS[x + 1]
 
 
 def format_plan(plan: LaurentPlan) -> str:
@@ -471,7 +470,7 @@ def format_plan(plan: LaurentPlan) -> str:
         lines.append(f"term {s.label} = {weight}")
         lines.append(f"  {s.dest} path{sign} rank {s.factor.rank}{flag}")
         lines.append("    reduced rows:")
-        lines += _rows_to_text(s.factor.reduced_rows, "      ")
+        lines += ["      " + "".join(row) for row in _SYMBOLS[s.factor.reduced_rows + 1]]
         lines.append("    combiner columns:")
-        lines += _rows_to_text(s.factor.combiner.T, "      ")
+        lines += ["      " + "".join(row) for row in _SYMBOLS[s.factor.combiner.T + 1]]
     return "\n".join(lines) + "\n"

@@ -12,6 +12,7 @@ from laurentfft import (
     FixedConfig,
     MemoryImage,
     OverflowFlag,
+    QFormat,
     StimulusFormatError,
     TransformSelect,
     build_plan,
@@ -162,6 +163,17 @@ class TestRunDevice:
         with pytest.raises(ValueError, match=r"^expected 16 samples, got 8$"):
             run_device(MemoryImage((0,) * 8, TransformSelect.DFT), plan16)
 
+    def test_none_config_is_the_default(self, plan16):
+        image = MemoryImage(RAMP2_RAWS, TransformSelect.DFT)
+        assert run_device(image, plan16, None) == run_device(image, plan16, FixedConfig())
+
+    # 0, False and '' ran the default device; "exact" escaped as an AttributeError
+    @pytest.mark.parametrize("cfg", [0, False, "", "exact", QFormat(16, 7)])
+    def test_config_must_be_a_fixed_config(self, plan16, cfg):
+        message = f"cfg must be a FixedConfig or None, got {cfg!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            run_device(MemoryImage(RAMP2_RAWS, TransformSelect.DFT), plan16, cfg)
+
 
 class TestStimulusFiles:
     def test_round_trip(self, tmp_path, plan16):
@@ -295,6 +307,30 @@ class TestImageValidation:
         assert MemoryImage((0,) * 16, "dht").select is TransformSelect.DHT
         with pytest.raises(ValueError):
             MemoryImage((0,) * 16, "fft")
+
+    @pytest.mark.parametrize("bad, index", [(1.5, 0), (-3, 1), (2**32, 1), ("7", 0)])
+    def test_output_word_outside_32_bits_names_its_index(self, bad, index):
+        words = [5, 6]
+        words[index] = bad
+        with pytest.raises(ValueError, match=f"^output word {index} = {bad} "):
+            MemoryImage((0,) * 16, "dft", output_words=tuple(words))
+
+    def test_output_words_stored_as_ints(self):
+        image = MemoryImage((0,) * 16, "dft", output_words=(np.uint32(5), np.int64(0xFFFFFFFF)))
+        assert image.output_words == (5, 0xFFFFFFFF)
+        assert all(type(w) is int for w in image.output_words)
+        assert MemoryImage((0,) * 16, "dft", output_words=[1, 2]).output_words == (1, 2)
+        assert MemoryImage((0,) * 16, "dft").output_words is None
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_overflow_stored_as_bool(self, flag):
+        image = MemoryImage((0,) * 16, "dft", overflow=flag)
+        assert type(image.overflow) is bool and image.overflow == flag
+
+    @pytest.mark.parametrize("flag", ["yes", "", 1, 0, None, 1.0])
+    def test_overflow_must_be_true_or_false(self, flag):
+        with pytest.raises(ValueError, match=f"^overflow must be True or False, got {flag!r}$"):
+            MemoryImage((0,) * 16, "dft", overflow=flag)
 
 
 WRITERS = [

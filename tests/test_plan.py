@@ -2,6 +2,7 @@
 factorizations and the reconstruction identity."""
 
 import dataclasses
+import hashlib
 import math
 import re
 
@@ -21,6 +22,7 @@ from laurentfft import (
     build_plan,
     chi,
     congruence_class,
+    count_ops,
     dft_matrix,
     echelon_factor,
     exponent_matrix,
@@ -28,7 +30,7 @@ from laurentfft import (
     reconstruct,
 )
 from laurentfft import plan as plan_module
-from laurentfft.plan import _independent_columns
+from laurentfft.plan import RowTable, _independent_columns
 
 RAMP2 = np.array([0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7], dtype=float)
 
@@ -217,8 +219,10 @@ class TestEchelonFactor:
 
 
 class TestDerivedFactorAttributes:
-    """A factor stores its two matrices only: rank is their inner dimension,
-    and optimal runs the independence test on first read, then is cached."""
+    """A factor stores its two nonzero tables and T's width only: rank is the
+    reduced table's row count, the two matrices are views built from the
+    tables on each read, and optimal runs the independence test on first
+    read, then is cached."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -233,7 +237,24 @@ class TestDerivedFactorAttributes:
 
     def test_only_the_factors_are_fields(self):
         names = [f.name for f in dataclasses.fields(FactoredTernary)]
-        assert names == ["combiner", "reduced_rows"]
+        assert names == ["reduced_table", "combiner_table", "width"]
+
+    def test_factors_are_stored_as_read_only_tables(self):
+        # each factor is held once, as 1-D read-only tables: no 2-D array is
+        # stored, and each read of a matrix builds a new read-only int8 view
+        for n in [*range(4, 129, 4), 256]:
+            for s in build_plan(n).streams:
+                f = s.factor
+                assert [type(v) for v in vars(f).values()] == [RowTable, RowTable, int]
+                for table in (f.reduced_table, f.combiner_table):
+                    assert type(table.nrows) is int, (n, s.label)
+                    for a in table[:3]:
+                        assert a.ndim == 1 and not a.flags.writeable, (n, s.label)
+                assert f.combiner_table.nrows == n and f.width == n, (n, s.label)
+                for view in ("combiner", "reduced_rows"):
+                    mat = getattr(f, view)
+                    assert mat.dtype == np.int8 and not mat.flags.writeable, (n, s.label)
+                    assert mat is not getattr(f, view), (n, s.label)
 
     @pytest.mark.parametrize("n", [16, 64, 128])
     def test_build_plan_runs_no_independence_test(self, calls, n):
@@ -244,7 +265,7 @@ class TestDerivedFactorAttributes:
         plan = build_plan(64)
         assert plan.optimal
         assert len(calls) == len(plan.streams)
-        assert all(c is s.factor.combiner for c, s in zip(calls, plan.streams))
+        assert all(np.array_equal(c, s.factor.combiner) for c, s in zip(calls, plan.streams))
         assert plan.optimal and all(s.factor.optimal for s in plan.streams)
         assert len(calls) == len(plan.streams)
 
@@ -490,6 +511,72 @@ class TestBuildPlan:
                 t = f.product()
                 assert t.dtype == np.int64
                 assert np.array_equal(t, f.combiner @ f.reduced_rows), (n, s.label)
+
+
+def _digest(*parts) -> str:
+    """The first 16 hex digits of the sha256 of each part's dtype, shape and bytes."""
+    h = hashlib.sha256()
+    for part in parts:
+        a = np.asarray(part)
+        h.update(f"{a.dtype.str}{a.shape}".encode())
+        h.update(a.tobytes())
+    return h.hexdigest()[:16]
+
+
+class TestPlanPins:
+    """The plans' outputs pinned by value: a reordered row, stream or ROM
+    slot, a changed dtype or count moves one of these digests."""
+
+    # N: (inputs table, combiners table, (constants, slots, scale), count_ops)
+    TAPES = {
+    4: ('bb5c79e764f4fb66', 'ba864dd1a67be42e', '3504385d9aace73f', (0, 8, 0, 4)),
+    8: ('dd5526a55a183610', 'dbfe815ddad82e85', '56640fe506b9d496', (2, 28, 8, 8)),
+    12: ('5c539a7cfa1a4ca5', '6c24893cb92a6fa1', 'da80f78708469de9', (8, 80, 20, 12)),
+    16: ('09e0dc1a7aa9abe8', 'da65552fef79b45d', '080ef30b95b5a1f4', (12, 96, 56, 16)),
+    20: ('a1f452699f5a9d47', 'e4a21dbe1d962da8', 'fadaeb0785fcb0fe', (32, 224, 88, 20)),
+    24: ('dd8e1350ac66a309', '8e08a007d1cb803b', 'ab18302b65bb259a', (24, 252, 108, 24)),
+    28: ('0bf4e711ce54ba8a', 'b903d81195c0325b', 'a597e9e377fd8f79', (72, 448, 204, 28)),
+    32: ('d4521abab484a0d2', '30c813c29a744417', '7638af8dbfda5f2b', (54, 340, 280, 32)),
+    36: ('20d7c4eca3ca06d9', '6a575f6a87c9429b', '3d23e91065c2c081', (88, 680, 296, 36)),
+    40: ('3d7ce5efd417ff0f', '520edf450039c2f1', 'ed3286352aeb6922', (84, 696, 384, 40)),
+    44: ('8e07ae0472c7d3d2', '0f56697da2f4a841', '112908af4f0eb8fe', (200, 1136, 580, 44)),
+    48: ('1adc43d1a8914a21', '477dc06d3be869cc', 'ae06d1066626b1a4', (88, 824, 508, 48)),
+    52: ('d5cc1035372f0a09', '4a22e2c9dbed7075', '3b63a8f6ac094b0a', (288, 1600, 840, 52)),
+    56: ('5fedbe5f63d2d32a', '8990bd5a71e328d0', '2523b698f88eb648', (184, 1388, 836, 56)),
+    60: ('1451e288fc77a509', 'd442703d582af4ee', '7c26079a89fd7036', (208, 1888, 764, 60)),
+    64: ('8d7632a562ee60e9', 'dc5d31535e7ef31f', 'e1f4c637fa491dc6', (224, 1256, 1240, 64)),
+    68: ('e4936b99f6ec17e3', '6aeeea9d9e3bc1ad', '99599ed6ed0c15c0', (512, 2768, 1504, 68)),
+    72: ('35d73537b32ab0c6', '4ac13f63a9a17b38', '7715184ef11bc8c7', (226, 2096, 1200, 72)),
+    76: ('81c640588a6c5a12', 'cbe018ba2a1b991f', 'f78a304d032cab72', (648, 3472, 1908, 76)),
+    80: ('6d1c9505f91c9c55', '66742a8e6686c482', '88ef820b47c02dc2', (280, 2256, 1648, 80)),
+    84: ('17f6a1980af34518', 'dbf2580d2f730e0b', '0c9ff2c98caa61d1', (448, 3760, 1640, 84)),
+    88: ('bd458a769477ae73', 'f26410d9fc1ba327', '0d46fffb5ca5c929', (504, 3516, 2268, 88)),
+    92: ('5170a5f7703fe7f6', '64d9ea389cb9f87e', '8835844d5472dbe5', (968, 5120, 2860, 92)),
+    96: ('c591d3ca6cfa813d', '3a337d08b0b763dc', '5c0e0eeed2d981b2', (344, 2868, 2204, 96)),
+    100: ('e7081e463a5ede5d', '762dc93443dc2aed', '0766e4449e6229d7', (864, 5448, 2928, 100)),
+    104: ('89ef41ccbcd73b90', '70eb4400d913af3e', '5da912b0fb893832', (724, 4952, 3248, 104)),
+    108: ('8280f47377f202c1', '173d5593a515f730', '5262db57e963cfa0', (816, 5888, 3068, 108)),
+    112: ('0246fba21f658de7', 'ce3b99a969e31e0d', '969e3bdeb928e1ac', (600, 4488, 3476, 112)),
+    116: ('9cdc5401cd531f97', 'e093a0ab3042b527', '2a1a859e6d3216d3', (1568, 8192, 4648, 116)),
+    120: ('862eaea36d24cedc', 'c0cfff1fbabe77cb', '6efc0846fd3cec7b', (528, 5784, 2996, 120)),
+    124: ('430453d84e151624', 'df3484fef800f2ed', 'b3f11d79fc423885', (1800, 9376, 5340, 124)),
+    128: ('dde7b590f8e2d449', '325d6cb676a18d5d', 'ca4e0a35830eb5c1', (906, 4796, 5208, 128)),
+    }
+    # sha256 of format_plan's text
+    DUMPS = {16: "2cc758f61077eff5", 64: "9db14b97935bfecd"}
+
+    @pytest.mark.parametrize("n", sorted(TAPES))
+    def test_tape_and_counts(self, n):
+        plan = build_plan(n)
+        tape = plan.tape
+        assert (_digest(*tape.inputs), _digest(*tape.combiners),
+                _digest(tape.constants, tape.slots, tape.scale),
+                dataclasses.astuple(count_ops(plan))) == self.TAPES[n]
+
+    @pytest.mark.parametrize("n", sorted(DUMPS))
+    def test_dump(self, n):
+        text = format_plan(build_plan(n))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == self.DUMPS[n]
 
 
 class TestFormatPlan:
