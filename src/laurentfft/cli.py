@@ -42,7 +42,7 @@ def _read_samples(path) -> list[float]:
     return values
 
 
-def _format_values(result, fmt: str):
+def _format_values(result, fmt: str, packing: OverflowFlag):
     if fmt == "text":
         if result.select is TransformSelect.DFT:
             return [f"{v.real:g}{v.imag:+g}j" for v in result.values]
@@ -54,7 +54,7 @@ def _format_values(result, fmt: str):
         return ["k,h"] + [f"{k},{v:.10g}" for k, v in enumerate(result.values)]
     if result.real_raw is None:  # "hex": argparse's choices allow no other format
         raise ValueError("hex output requires fixed arithmetic")
-    return [format(w, "08X") for w in pack_output(result)]
+    return [format(w, "08X") for w in pack_output(result, flags=packing)]
 
 
 def _saturates(x: float, cfg: FixedConfig) -> bool:
@@ -81,7 +81,8 @@ def _cmd_transform(args) -> int:
             raise ValueError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
     result = execute(plan, samples, args.select, arith)
 
-    lines = _format_values(result, args.format)
+    packing = OverflowFlag()
+    lines = _format_values(result, args.format, packing)
     if args.output:
         _overwrite_text(args.output, "".join(line + "\n" for line in lines))
     else:
@@ -93,6 +94,8 @@ def _cmd_transform(args) -> int:
         print(f"max deviation vs direct transform: {deviation:.3e}")
     if result.overflow:
         print("warning: fixed-point overflow occurred (results saturated)", file=sys.stderr)
+    if packing.overflow:  # no "overflow" here: on stderr that word means the engine's flag
+        print("warning: output words saturated when packed to 16-bit halves", file=sys.stderr)
     return 0
 
 

@@ -24,7 +24,7 @@ from .fixed import (
     QFormat,
     ROUND_HALF_AWAY,
     ROUNDING_MODES,
-    _index_width,
+    _admit,
     _tuple_new,
     fx_add,
     fx_mul,
@@ -60,10 +60,8 @@ class FixedConfig:
             raise ValueError(f"fmt must be a QFormat, got {self.fmt!r}")
         if self.rounding not in ROUNDING_MODES:
             raise ValueError(f"unknown rounding mode {self.rounding!r}")
-        _index_width(self, "acc_total_bits", "accumulator width")
-        if not self.fmt.total_bits <= self.acc_total_bits <= 32:
-            raise ValueError(f"accumulator width must lie between the input word's "
-                             f"{self.fmt.total_bits} bits and 32, got {self.acc_total_bits}")
+        object.__setattr__(self, "acc_total_bits", _admit(
+            self.acc_total_bits, "accumulator width", self.fmt.total_bits, 32))
         # built once, like QFormat's bounds: the scalar ops' format checks are identity tests
         object.__setattr__(self, "acc_fmt", self.fmt.widened(self.acc_total_bits))
 

@@ -5,7 +5,13 @@ with 7 fraction bits is Q8.7 -- one sign bit, eight integer bits, seven
 fraction bits).  All arithmetic is exact integer arithmetic with a single
 rounding at the end of a multiply, so results are bit-reproducible across
 runs and platforms.  A Fixed is an immutable (raw, fmt) named tuple whose
-raw is a plain int.
+raw is a plain int in its word.
+
+Every integer the device holds -- a width, a raw, a memory word -- passes
+_admit (_admit_each for a sequence): a numpy integer is kept as the Python
+int it holds, and anything else, or an integer outside its word (masked, it
+would be another word), is a ValueError such as "Fixed raw must be an
+integer in [-32768, 32767], got 40000".
 """
 
 from __future__ import annotations
@@ -21,13 +27,33 @@ ROUND_TRUNCATE = "truncate"
 ROUNDING_MODES = (ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE)
 
 
-def _index_width(obj, field: str, name: str) -> None:
-    """Store obj.field as an int; a width such as 7.5 or 16.0 is a ValueError naming it."""
-    bits = getattr(obj, field)
+def _admit(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
+    """The plain int that operator.index gives for value.  ValueError names
+    what the value is and shows it by repr if it is not an integer, or, when
+    bounds are given, not one in [lo, hi]."""
     try:
-        object.__setattr__(obj, field, operator.index(bits))
+        i = operator.index(value)
     except TypeError:
-        raise ValueError(f"{name} must be an integer, got {bits!r}") from None
+        i = None
+    if i is None or lo is not None and not lo <= i <= hi:
+        bounds = "" if lo is None else f" in [{lo}, {hi}]"
+        raise ValueError(f"{what} must be an integer{bounds}, got {value!r}")
+    return i
+
+
+def _admit_each(values, what: str, lo: int | None = None,
+                hi: int | None = None) -> tuple[int, ...]:
+    """values as a tuple of _admit's ints.  All are converted and bounded at
+    once; only a failure walks them again, to name the first bad one "what i"."""
+    values = tuple(values)
+    try:
+        ints = tuple(map(operator.index, values))
+        if lo is None or not ints or lo <= min(ints) and max(ints) <= hi:
+            return ints
+    except TypeError:
+        pass
+    for i, v in enumerate(values):
+        _admit(v, f"{what} {i}", lo, hi)
 
 
 @dataclass(frozen=True)
@@ -39,13 +65,10 @@ class QFormat:
     frac_bits: int = 7
 
     def __post_init__(self):
-        for field in ("total_bits", "frac_bits"):
-            _index_width(self, field, f"QFormat {field}")
-        if not 1 <= self.frac_bits < self.total_bits <= 32:
-            raise ValueError(
-                "QFormat requires 1 <= frac_bits < total_bits <= 32, "
-                f"got total_bits={self.total_bits}, frac_bits={self.frac_bits}"
-            )
+        total = _admit(self.total_bits, "QFormat total_bits", 2, 32)
+        frac = _admit(self.frac_bits, "QFormat frac_bits", 1, total - 1)
+        object.__setattr__(self, "total_bits", total)
+        object.__setattr__(self, "frac_bits", frac)
         # Derived bounds are plain attributes, not fields, so the saturating
         # ops read them at instance-attribute speed.
         object.__setattr__(self, "scale", 1 << self.frac_bits)
@@ -83,19 +106,14 @@ class _FixedFields(NamedTuple):
 
 
 class Fixed(_FixedFields):
-    """An integer raw in a QFormat word.  Fixed(raw, fmt) keeps the plain
-    int that operator.index gives for raw, so a numpy integer computes as
-    the Python int it holds; a raw that is not an integer, such as 1.5, is
-    a ValueError naming it.  The ops skip that check: see _tuple_new."""
+    """An integer raw in a QFormat word.  Fixed(raw, fmt) and _replace admit
+    raw by _admit within fmt.min_raw..fmt.max_raw.  The ops skip that check:
+    see _tuple_new."""
 
     __slots__ = ()
 
     def __new__(cls, raw, fmt: QFormat):
-        try:
-            raw = operator.index(raw)
-        except TypeError:
-            raise ValueError(f"Fixed raw must be an integer, got {raw!r}") from None
-        return _tuple_new(cls, (raw, fmt))
+        return _tuple_new(cls, (_admit(raw, "Fixed raw", fmt.min_raw, fmt.max_raw), fmt))
 
     @classmethod
     def _make(cls, iterable):  # so _replace checks its raw too

@@ -9,6 +9,9 @@ The model is functional, not cycle-accurate: run_device is exactly the
 fixed-point engine followed by packing, so a testbench diff against RTL
 isolates arithmetic bugs from memory-layout bugs.
 
+Words and raws from outside pass fixed._admit_each, as a Fixed raw does:
+"input word 2 must be an integer in [-32768, 32767], got 40000".
+
 Testbench interchange files are plain text, one hex word per line:
 stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
 followed by 16-bit input words; output files hold 32-bit words.  A word
@@ -22,8 +25,6 @@ nothing.
 
 from __future__ import annotations
 
-import math
-import operator
 import os
 import stat
 from dataclasses import dataclass, replace
@@ -31,17 +32,13 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .engine import FixedConfig, TransformResult, TransformSelect, _fixed_config, execute
-from .fixed import OverflowFlag, QFormat, _saturate
+from .fixed import OverflowFlag, QFormat, _admit_each, _saturate
 from .plan import LaurentPlan
 
 _WORD16 = 0xFFFF
 _WORD32 = 0xFFFFFFFF
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
-# (lo, hi, what a value that is not an integer in [lo, hi] is) for _checked_ints
-_INPUT_WORD = (-0x8000, 0x7FFF, "is outside signed 16-bit integers [-32768, 32767]")
-_OUTPUT_WORD = (0, _WORD32, "is outside 32 bits [0, 2**32)")
-_ANY_INT = (-math.inf, math.inf, "is not an integer")
 
 
 class StimulusFormatError(ValueError):
@@ -53,9 +50,9 @@ class MemoryImage:
     """Value snapshot of the device memory.
 
     Input words in signed 16-bit range and output words (unless None) in
-    [0, 2**32) may be Python or numpy integers and are stored as Python ints
-    (ValueError names the first that is not); select is stored as a
-    TransformSelect, whatever its spelling, and overflow (True or False) as a bool.
+    [0, 2**32) pass fixed._admit_each and are stored as Python ints; select
+    is stored as a TransformSelect, whatever its spelling, and overflow
+    (True or False) as a bool.
     """
 
     input_words: tuple[int, ...]
@@ -68,29 +65,11 @@ class MemoryImage:
             raise ValueError(f"overflow must be True or False, got {self.overflow!r}")
         out = self.output_words
         object.__setattr__(self, "input_words",
-                           _checked_ints(self.input_words, "input word", _INPUT_WORD))
+                           _admit_each(self.input_words, "input word", -0x8000, 0x7FFF))
         object.__setattr__(self, "select", TransformSelect(self.select))
         object.__setattr__(self, "output_words",
-                           None if out is None else _checked_ints(out, "output word", _OUTPUT_WORD))
+                           None if out is None else _admit_each(out, "output word", 0, _WORD32))
         object.__setattr__(self, "overflow", bool(self.overflow))
-
-
-def _checked_ints(values, name: str, limits=_ANY_INT) -> tuple[int, ...]:
-    """values as a tuple of the plain ints that operator.index gives for
-    them, so a numpy integer is kept as the Python int it holds.  ValueError
-    names the first that is not an integer in [lo, hi]: masked to a word,
-    it would store another word."""
-    lo, hi, fault = limits
-    ints = []
-    for i, v in enumerate(values):
-        try:
-            w = operator.index(v)
-        except TypeError:
-            w = None
-        if w is None or not lo <= w <= hi:
-            raise ValueError(f"{name} {i} = {v} {fault}")
-        ints.append(w)
-    return tuple(ints)
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
@@ -105,9 +84,9 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
     Accepts a fixed-mode TransformResult, which carries its select, or raw
     integers and a select (a TransformSelect or its name in any case):
-    (re, im) pairs for DFT, single raws for DHT.  A raw may be a Python or
-    numpy integer; ValueError names the first that is not.  Raws beyond 16
-    bits saturate and mark the flags context when one is supplied.
+    (re, im) pairs for DFT, single raws for DHT, which pass
+    fixed._admit_each unbounded.  Raws beyond 16 bits saturate and mark the
+    flags context when one is supplied.
     """
     if isinstance(spectrum, TransformResult):
         if spectrum.real_raw is None:
@@ -122,9 +101,9 @@ def pack_output(spectrum, select: TransformSelect | None = None,
         select, pairs = TransformSelect(select), tuple(spectrum)
         if select is TransformSelect.DFT:
             re_raw, im_raw = zip(*pairs, strict=True) if pairs else ((), ())
-            pairs = zip(_checked_ints(re_raw, "real raw"), _checked_ints(im_raw, "imaginary raw"))
+            pairs = zip(_admit_each(re_raw, "real raw"), _admit_each(im_raw, "imaginary raw"))
         else:
-            pairs = _checked_ints(pairs, "raw")
+            pairs = _admit_each(pairs, "raw")
 
     if select is TransformSelect.DFT:
         return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
@@ -136,7 +115,7 @@ def unpack_output(words, select: TransformSelect):
     """Inverse of pack_output: recover signed 16-bit raws as Python ints.  A
     word that is not an integer in [0, 2**32), or a DHT word whose upper
     half is not zero, raises ValueError naming its index."""
-    select, words = TransformSelect(select), _checked_ints(words, "output word", _OUTPUT_WORD)
+    select, words = TransformSelect(select), _admit_each(words, "output word", 0, _WORD32)
     # each 16-bit half h sign-extended as (h ^ 0x8000) - 0x8000
     if select is TransformSelect.DFT:
         return tuple((((w >> 16) ^ 0x8000) - 0x8000, ((w & _WORD16) ^ 0x8000) - 0x8000)
@@ -250,7 +229,7 @@ def write_stimulus(image: MemoryImage, path):
 def write_output_words(words, path):
     """One 32-bit hex word per line.  Words may be Python or numpy integers;
     one that is not an integer in [0, 2**32) raises as in unpack_output."""
-    words = _checked_ints(words, "output word", _OUTPUT_WORD)
+    words = _admit_each(words, "output word", 0, _WORD32)
     _overwrite_text(path, "%08X\n" * len(words) % words)
 
 

@@ -57,13 +57,38 @@ class TestTransform:
         assert deviation < 1e-9
 
     def test_hex_format_packs_words(self, capsys, ramp_file):
-        code, out, _ = run_cli(capsys, "transform", "--n", "16", "--select", "dft",
-                               "--arith", "fixed", "--input", str(ramp_file),
-                               "--format", "hex")
-        assert code == 0
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--select", "dft",
+                                 "--arith", "fixed", "--input", str(ramp_file),
+                                 "--format", "hex")
+        assert (code, err) == (0, "")  # in range: no packing line
         lines = out.splitlines()
         assert lines[2] == "FC0009B0"
         assert lines[0] == "1C000000"
+
+    @pytest.mark.parametrize("select, word", [("dft", "7FFF0000"), ("dht", "00007FFF")])
+    def test_hex_format_reports_packing_saturation(self, capsys, tmp_path, select, word):
+        # sixteen samples of 255: bin 0 is 4080, in range for the engine's
+        # 32-bit accumulator, but its 16-bit output half saturates to 7FFF.
+        # The line says so without the word "overflow", which stays the
+        # engine flag's line
+        path = tmp_path / "s255.csv"
+        path.write_text("255\n" * 16)
+        code, out, err = run_cli(capsys, "transform", "--select", select, "--input", str(path),
+                                 "--format", "hex")
+        assert code == 0
+        assert out.splitlines() == [word] + ["00000000"] * 15
+        assert err == "warning: output words saturated when packed to 16-bit halves\n"
+        assert "overflow" not in err
+
+    def test_hex_format_words_match_testbench_on_saturation(self, capsys, tmp_path):
+        samples, stim = tmp_path / "s255.csv", tmp_path / "stim.txt"
+        samples.write_text("255\n" * 16)
+        stim.write_text("\n".join(["SELECT DFT"] + ["7F80"] * 16) + "\n")
+        out_path = tmp_path / "words.hex"
+        _, out, _ = run_cli(capsys, "transform", "--input", str(samples), "--format", "hex")
+        code, _, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
+        assert out_path.read_text() == out
+        assert (code, err) == (0, "warning: fixed-point overflow occurred (results saturated)\n")
 
     @pytest.mark.parametrize("select, header, bin2", [("dht", "k,h", "2,-27.375"),
                                                       ("dft", "k,re,im", "2,-8,19.375")],
@@ -414,6 +439,5 @@ class TestFixedOptions:
                 ["testbench", str(stim), "--output", str(out_path)])
         code, out, err = run_cli(capsys, *argv, "--frac-bits", bits)
         assert (code, out) == (1, "")
-        assert err == ("error: QFormat requires 1 <= frac_bits < total_bits <= 32, "
-                       f"got total_bits=16, frac_bits={bits}\n")
+        assert err == f"error: QFormat frac_bits must be an integer in [1, 15], got {bits}\n"
         assert not out_path.exists()

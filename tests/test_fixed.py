@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -53,9 +54,10 @@ class TestQFormat:
         with pytest.raises(ValueError):
             QFormat(8, 0)
         # in range but not integers: a ValueError that names the field
-        with pytest.raises(ValueError, match="frac_bits must be an integer, got 7.5"):
+        with pytest.raises(ValueError, match=r"frac_bits must be an integer in \[1, 15\], got 7.5"):
             QFormat(16, 7.5)
-        with pytest.raises(ValueError, match="total_bits must be an integer, got 16.0"):
+        with pytest.raises(ValueError,
+                           match=r"total_bits must be an integer in \[2, 32\], got 16.0"):
             QFormat(16.0, 7)
         assert QFormat(np.int64(16), np.int64(7)) == QFormat(16, 7)
 
@@ -149,10 +151,39 @@ class TestFixedValue:
 
     @pytest.mark.parametrize("raw", [1.5, 2.0, "3", None])
     def test_non_integer_raw_rejected(self, raw):
-        with pytest.raises(ValueError, match=rf"Fixed raw must be an integer, got {raw!r}"):
+        message = (r"^Fixed raw must be an integer in \[-32768, 32767\], "
+                   rf"got {re.escape(repr(raw))}$")
+        with pytest.raises(ValueError, match=message):
             Fixed(raw, Q16_7)
-        with pytest.raises(ValueError, match=rf"Fixed raw must be an integer, got {raw!r}"):
+        with pytest.raises(ValueError, match=message):
             Fixed(0, Q16_7)._replace(raw=raw)
+
+    # Q8.7, an 18-bit accumulator word and a 32-bit word
+    @pytest.mark.parametrize("fmt", [QFormat(16, 7), QFormat(18, 7), QFormat(32, 20)], ids=str)
+    def test_raw_outside_its_word_rejected(self, fmt):
+        # masked to the word, max_raw + 1 would print and store min_raw's bits
+        for raw in (fmt.max_raw + 1, fmt.min_raw - 1):
+            message = (rf"^Fixed raw must be an integer in \[{fmt.min_raw}, {fmt.max_raw}\], "
+                       rf"got {raw}$")
+            with pytest.raises(ValueError, match=message):
+                Fixed(raw, fmt)
+        with pytest.raises(ValueError, match=rf"got {fmt.max_raw + 1}$"):
+            Fixed(0, fmt)._replace(raw=fmt.max_raw + 1)
+
+    def test_million_is_no_q8_7_raw(self):
+        # kept, it read .value 7812.5 in a word that holds at most 255.99,
+        # and .hex() printed 4240, the bits of another word
+        with pytest.raises(ValueError, match=r"^Fixed raw .*, got 1000000$"):
+            Fixed(10**6, Q16_7)
+
+    @pytest.mark.parametrize("fmt", [QFormat(16, 7), QFormat(18, 7), QFormat(32, 20)], ids=str)
+    def test_raw_at_each_bound_accepted(self, fmt):
+        dtypes = [int, np.int32, np.int64] + ([np.int16] if fmt.total_bits == 16 else [])
+        for raw in (fmt.min_raw, fmt.max_raw):
+            for dtype in dtypes:
+                x = Fixed(dtype(raw), fmt)
+                assert type(x.raw) is int and x.raw == raw
+                assert Fixed(0, fmt)._replace(raw=dtype(raw)) == x
 
     def test_replace_keeps_an_int_raw(self):
         x = Fixed(0, Q16_7)._replace(raw=np.int16(-300))

@@ -63,7 +63,8 @@ class TestPacking:
     def test_unpack_rejects_word_outside_32_bits(self, bad, index, select):
         words = [0, 0, 0]
         words[index] = bad
-        with pytest.raises(ValueError, match=rf"output word {index} = {bad} is outside 32 bits"):
+        message = rf"^output word {index} must be an integer in \[0, 4294967295\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
             unpack_output(words, select)
 
     def test_unpack_dht_rejects_nonzero_upper_half(self):
@@ -114,9 +115,10 @@ class TestPacking:
         assert words == (0xFFFF0002,) and type(words[0]) is int
 
     @pytest.mark.parametrize("spectrum, select, message", [
-        ([0, 1.5], "dht", "raw 1 = 1.5 is not an integer"),
-        ([(0, 0), (1.5, 0)], "dft", "real raw 1 = 1.5 is not an integer"),
-        ([(0, 0), (0, "1")], "dft", "imaginary raw 1 = 1 is not an integer")])
+        ([0, 1.5], "dht", "raw 1 must be an integer, got 1.5"),
+        ([(0, 0), (1.5, 0)], "dft", "real raw 1 must be an integer, got 1.5"),
+        ([(0, 0), (0, "1")], "dft", "imaginary raw 1 must be an integer, got '1'")],
+        ids=["dht", "dft-real", "dft-imaginary"])
     def test_non_integer_raw_named(self, spectrum, select, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pack_output(spectrum, select)
@@ -246,7 +248,8 @@ class TestStimulusFiles:
         words = [0, 0]
         words[index] = bad
         path = tmp_path / "out.hex"
-        with pytest.raises(ValueError, match=rf"output word {index} = {bad} is outside 32 bits"):
+        message = rf"^output word {index} must be an integer in \[0, 4294967295\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
             write_output_words(words, path)
         assert not path.exists()
 
@@ -296,11 +299,13 @@ class TestImageValidation:
     def test_word_outside_int16_names_its_index(self, bad, index):
         words = [0] * 16
         words[index] = bad
-        with pytest.raises(ValueError, match=rf"input word {index} = {bad} "):
+        message = rf"^input word {index} must be an integer in \[-32768, 32767\], got {bad}$"
+        with pytest.raises(ValueError, match=message):
             MemoryImage(tuple(words), TransformSelect.DFT)
 
     def test_first_bad_word_is_named(self):
-        with pytest.raises(ValueError, match=r"input word 2 = 40000 "):
+        message = r"^input word 2 must be an integer in \[-32768, 32767\], got 40000$"
+        with pytest.raises(ValueError, match=message):
             MemoryImage((0, 1, 40000, -40000), TransformSelect.DHT)
 
     def test_string_select_stored_as_member(self):
@@ -312,7 +317,8 @@ class TestImageValidation:
     def test_output_word_outside_32_bits_names_its_index(self, bad, index):
         words = [5, 6]
         words[index] = bad
-        with pytest.raises(ValueError, match=f"^output word {index} = {bad} "):
+        message = rf"^output word {index} must be an integer in \[0, 4294967295\], got {bad!r}$"
+        with pytest.raises(ValueError, match=message):
             MemoryImage((0,) * 16, "dft", output_words=tuple(words))
 
     def test_output_words_stored_as_ints(self):
