@@ -5,9 +5,10 @@
     laurentfft testbench stimulus.txt --output words.hex
 
 Sample files hold one decimal value per line, or comma-separated values;
-blank lines are ignored.  The samples are then checked by execute's check,
-before the plan is built; a stimulus by load_stimulus, the options by the
-FixedConfig they build.  Every failure exits 1 with one "error: ..." line.
+blank lines are ignored.  Every input is checked before the plan is built:
+samples by execute's check and the Q-format range, a stimulus by
+load_stimulus, the options by the FixedConfig they build.  Every failure
+exits 1 with one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -52,9 +53,7 @@ def _format_values(result, fmt: str, packing: OverflowFlag):
             return ["k,re,im"] + [f"{k},{v.real:.10g},{v.imag:.10g}"
                                   for k, v in enumerate(result.values)]
         return ["k,h"] + [f"{k},{v:.10g}" for k, v in enumerate(result.values)]
-    if result.real_raw is None:  # "hex": argparse's choices allow no other format
-        raise ValueError("hex output requires fixed arithmetic")
-    return [format(w, "08X") for w in pack_output(result, flags=packing)]
+    return [format(w, "08X") for w in pack_output(result, flags=packing)]  # "hex"
 
 
 def _saturates(x: float, cfg: FixedConfig) -> bool:
@@ -68,9 +67,7 @@ def _cmd_transform(args) -> int:
         _require_mod4(args.n)  # a bad --n is named before the sample count is held against it
     samples = _read_samples(args.input)
     n = args.n if args.n is not None else len(samples)
-    _check_input(n, samples)  # names a wrong count or a non-finite sample before the plan build
-    plan = build_plan(n)
-
+    _check_input(n, samples)  # names a wrong count or a non-finite sample
     arith = "exact"
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
@@ -79,7 +76,10 @@ def _cmd_transform(args) -> int:
         if _saturates(min(samples), arith) or _saturates(max(samples), arith):
             i = next(i for i, x in enumerate(samples) if _saturates(x, arith))
             raise ValueError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
-    result = execute(plan, samples, args.select, arith)
+    elif args.format == "hex":
+        raise ValueError("hex output requires fixed arithmetic")
+    # every refusal above comes before the plan build, the slow step
+    result = execute(build_plan(n), samples, args.select, arith)
 
     packing = OverflowFlag()
     lines = _format_values(result, args.format, packing)
@@ -120,8 +120,8 @@ def _cmd_plan(args) -> int:
 
 def _cmd_testbench(args) -> int:
     image = load_stimulus(args.stimulus)
-    plan = build_plan(len(image.input_words))
-    done = run_device(image, plan, FixedConfig(QFormat(16, args.frac_bits), args.round))
+    cfg = FixedConfig(QFormat(16, args.frac_bits), args.round)
+    done = run_device(image, build_plan(len(image.input_words)), cfg)
     out_path = args.output or (str(args.stimulus) + ".out.hex")
     write_output_words(done.output_words, out_path)
     print(f"wrote {len(done.output_words)} output words to {out_path}")

@@ -30,13 +30,13 @@ ROUNDING_MODES = (ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE)
 def _admit(value, what: str, lo: int | None = None, hi: int | None = None) -> int:
     """The plain int that operator.index gives for value.  ValueError names
     what the value is and shows it by repr if it is not an integer, or, when
-    bounds are given, not one in [lo, hi]."""
+    bounds are given, not one in [lo, hi] (hi None: not one >= lo)."""
     try:
         i = operator.index(value)
     except TypeError:
         i = None
-    if i is None or lo is not None and not lo <= i <= hi:
-        bounds = "" if lo is None else f" in [{lo}, {hi}]"
+    if i is None or lo is not None and not lo <= i <= (i if hi is None else hi):
+        bounds = "" if lo is None else f" >= {lo}" if hi is None else f" in [{lo}, {hi}]"
         raise ValueError(f"{what} must be an integer{bounds}, got {value!r}")
     return i
 
@@ -106,13 +106,15 @@ class _FixedFields(NamedTuple):
 
 
 class Fixed(_FixedFields):
-    """An integer raw in a QFormat word.  Fixed(raw, fmt) and _replace admit
-    raw by _admit within fmt.min_raw..fmt.max_raw.  The ops skip that check:
-    see _tuple_new."""
+    """An integer raw in a QFormat word.  Fixed(raw, fmt) and _replace refuse
+    a fmt that is not a QFormat and admit raw by _admit within
+    fmt.min_raw..fmt.max_raw.  The ops skip these checks: see _tuple_new."""
 
     __slots__ = ()
 
     def __new__(cls, raw, fmt: QFormat):
+        if not isinstance(fmt, QFormat):
+            raise ValueError(f"fmt must be a QFormat, got {fmt!r}")
         return _tuple_new(cls, (_admit(raw, "Fixed raw", fmt.min_raw, fmt.max_raw), fmt))
 
     @classmethod
@@ -162,13 +164,16 @@ def quantize(x, fmt: QFormat, rounding: str = ROUND_HALF_AWAY,
 
     Out-of-range values saturate to the nearest bound and mark the sticky
     flag.  The exact binary expansion of the input is used, so rounding
-    decisions never suffer double rounding.  Infinities and NaN have no
-    value on the grid and raise ValueError.
+    decisions never suffer double rounding.  Infinities, NaN and what is
+    not a number have no value on the grid and raise ValueError.
     """
     try:
         num, den = x.as_integer_ratio()  # in lowest terms, den > 0
     except AttributeError:  # integers such as np.int64
-        num, den = operator.index(x), 1
+        try:
+            num, den = operator.index(x), 1
+        except TypeError:
+            raise ValueError(f"cannot quantize {x!r}: not a number") from None
     except (OverflowError, ValueError):
         raise ValueError(f"cannot quantize {x!r}: not a finite number") from None
     g = math.gcd(fmt.scale, den)  # (num * scale) / den in lowest terms

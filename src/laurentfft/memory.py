@@ -1,5 +1,6 @@
-"""Software model of the device memory block: 16-bit input words, the
-transform-select bit, and 32-bit packed output words.
+"""Software model of the device memory: a MemoryImage holds what the device
+reads (16-bit input words, the transform-select bit) and run_device returns
+what it writes, a DeviceOutput (32-bit packed output words, overflow flag).
 
 Packing (word-level big-endian: "first" means most significant):
   DFT  word = [ real raw : 16 bits | imag raw : 16 bits ]
@@ -27,7 +28,8 @@ from __future__ import annotations
 
 import os
 import stat
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,29 +49,24 @@ class StimulusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MemoryImage:
-    """Value snapshot of the device memory.
-
-    Input words in signed 16-bit range and output words (unless None) in
-    [0, 2**32) pass fixed._admit_each and are stored as Python ints; select
-    is stored as a TransformSelect, whatever its spelling, and overflow
-    (True or False) as a bool.
-    """
+    """What the device reads: input words in signed 16-bit range, which pass
+    fixed._admit_each and are stored as Python ints, and the select bit,
+    stored as a TransformSelect whatever its spelling."""
 
     input_words: tuple[int, ...]
     select: TransformSelect
-    output_words: tuple[int, ...] | None = None
-    overflow: bool = False
 
     def __post_init__(self):
-        if not isinstance(self.overflow, (bool, np.bool_)):
-            raise ValueError(f"overflow must be True or False, got {self.overflow!r}")
-        out = self.output_words
         object.__setattr__(self, "input_words",
                            _admit_each(self.input_words, "input word", -0x8000, 0x7FFF))
         object.__setattr__(self, "select", TransformSelect(self.select))
-        object.__setattr__(self, "output_words",
-                           None if out is None else _admit_each(out, "output word", 0, _WORD32))
-        object.__setattr__(self, "overflow", bool(self.overflow))
+
+
+class DeviceOutput(NamedTuple):
+    """What the device writes: 32-bit packed words and the overflow flag."""
+
+    output_words: tuple[int, ...]
+    overflow: bool
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
@@ -127,14 +124,15 @@ def unpack_output(words, select: TransformSelect):
 
 
 def run_device(image: MemoryImage, plan: LaurentPlan,
-               cfg: FixedConfig | None = None) -> MemoryImage:
-    """Model one device pass: load, run the core block, pack, store (cfg None: DEFAULT_CONFIG)."""
+               cfg: FixedConfig | None = None) -> DeviceOutput:
+    """Model one device pass: load, run the core block, pack (cfg None: DEFAULT_CONFIG).
+    The image is left as it was; the flag is the engine's or the packing's."""
     cfg = _fixed_config(cfg)
     samples = np.array(image.input_words, dtype=np.float64) / cfg.fmt.scale
     result = execute(plan, samples, image.select, cfg)
     flags = OverflowFlag()
     words = pack_output(result, flags=flags)
-    return replace(image, output_words=words, overflow=result.overflow or flags.overflow)
+    return DeviceOutput(words, result.overflow or flags.overflow)
 
 
 def _hex_words(path, lines: list[str], digits: int, first: int = 0) -> list[int]:

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .fixed import _admit
 from .reference import dft_matrix
 
 RECONSTRUCTION_TOL = 1e-12
@@ -81,23 +82,22 @@ def _require_mod4(n) -> int:
 
 def exponent_matrix(n: int) -> np.ndarray:
     """N x N matrix of DFT exponents k*n mod N."""
-    if n < 1:
-        raise ValueError("order must be positive")
+    n = _admit(n, "order N", 1)
     idx = np.arange(n)
     return np.outer(idx, idx) % n
 
 
 def chi(l: int, n: int) -> np.ndarray:
     """0/1 indicator of the positions where k*n ≡ l (mod N)."""
-    if not 0 <= l < n:
-        raise ValueError(f"class index must satisfy 0 <= l < N, got l={l}, N={n}")
+    n = _admit(n, "order N", 1)
+    l = _admit(l, "class index l", 0, n - 1)
     return (exponent_matrix(n) == l).astype(np.int64)
 
 
 def congruence_class(m: int, n: int) -> set[int]:
     """Residues l in 0..N-1 with l ≡ m (mod N/4).  m may be negative."""
-    step = _require_mod4(n) // 4
-    return {l for l in range(n) if (l - m) % step == 0}
+    n, m = _require_mod4(n), _admit(m, "label m")
+    return {l for l in range(n) if (l - m) % (n // 4) == 0}
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,7 +127,7 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
     """M_m = sum over l in C_m of (-j)**(4*(l - m)/N) chi_l: the class weights
     gathered by the exponent matrix, in int8.  The label m is signed: M_-1
     and M_(N/4 - 1) cover the same residues but differ by a unit factor."""
-    n = _require_mod4(n)
+    n, m = _require_mod4(n), _admit(m, "label m")
     w, e = _class_weights(m, n), exponent_matrix(n)
     return GaussianIntegerMatrix(w.re[e], w.im[e])
 

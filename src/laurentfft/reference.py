@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .fixed import _admit
+
 
 def _as_signal(samples) -> np.ndarray:
     """samples as float64: ValueError unless real, 1-D and non-empty, naming the
@@ -41,8 +43,7 @@ def _as_signal(samples) -> np.ndarray:
 
 def dft_matrix(n: int) -> np.ndarray:
     """The N x N matrix exp(-2j*pi*k*n/N)."""
-    if n < 1:
-        raise ValueError("transform length must be positive")
+    n = _admit(n, "transform length N", 1)
     idx = np.arange(n)
     return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
 

@@ -32,8 +32,6 @@ SITES = [
     ("Fixed._replace", "Fixed raw", WORD16, lambda v, _: Fixed(0, Q16_7)._replace(raw=v).raw),
     ("MemoryImage input word", "input word 2", WORD16,
      lambda v, _: MemoryImage((0, 0, v), "dft").input_words[2]),
-    ("MemoryImage output word", "output word 1", (0, 0xFFFFFFFF),
-     lambda v, _: MemoryImage((0,) * 16, "dft", output_words=(0, v)).output_words[1]),
     ("pack_output raw", "raw 1", None,
      lambda v, _: unpack_output(pack_output([0, v], "dht"), "dht")[1]),
     ("pack_output real raw", "real raw 1", None,

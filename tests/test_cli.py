@@ -23,6 +23,15 @@ def ramp_file(tmp_path):
     return path
 
 
+@pytest.fixture
+def no_plan(monkeypatch):
+    """A plan build that fails: every refusal must come before the build."""
+    def build_plan(n):
+        raise AssertionError("the plan was built before the inputs were checked")
+
+    monkeypatch.setattr(cli, "build_plan", build_plan)
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -102,7 +111,7 @@ class TestTransform:
         assert lines[0] == header
         assert lines[3] == bin2
 
-    def test_hex_format_needs_fixed_arithmetic(self, capsys, ramp_file):
+    def test_hex_format_needs_fixed_arithmetic(self, capsys, ramp_file, no_plan):
         code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "exact",
                                  "--input", str(ramp_file), "--format", "hex")
         assert (code, out) == (1, "")
@@ -147,12 +156,7 @@ class TestTransform:
         assert code == 1 and err.startswith("error:")
 
     @pytest.mark.parametrize("arith", ["exact", "fixed"])
-    def test_sample_count_mismatch_names_both_counts(self, capsys, ramp_file, monkeypatch,
-                                                      arith):
-        def no_plan(n):
-            raise AssertionError("the plan was built before the sample count was checked")
-
-        monkeypatch.setattr(cli, "build_plan", no_plan)
+    def test_sample_count_mismatch_names_both_counts(self, capsys, ramp_file, no_plan, arith):
         code, out, err = run_cli(capsys, "transform", "--n", "32", "--arith", arith,
                                  "--input", str(ramp_file))
         assert (code, out, err) == (1, "", "error: expected 32 samples, got 16\n")
@@ -166,12 +170,7 @@ class TestTransform:
         assert code == 1
         assert "sample 3" in err
 
-    def test_out_of_range_sample_rejected_before_transform(self, capsys, tmp_path,
-                                                           monkeypatch):
-        def no_transform(*args, **kwargs):
-            raise AssertionError("the transform ran before the range probe")
-
-        monkeypatch.setattr(cli, "execute", no_transform)
+    def test_out_of_range_sample_rejected_before_transform(self, capsys, tmp_path, no_plan):
         path = tmp_path / "big.csv"
         path.write_text("0\n1\n2\n999\n" + "0\n" * 12)
         code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
@@ -431,7 +430,7 @@ class TestFixedOptions:
     @pytest.mark.parametrize("bits", ["0", "16"])
     @pytest.mark.parametrize("command", ["transform", "testbench"])
     def test_frac_bits_outside_the_word_is_one_error_line(self, capsys, tmp_path, ramp_file,
-                                                          command, bits):
+                                                          no_plan, command, bits):
         stim = tmp_path / "stim.txt"
         stim.write_text("\n".join(STIM_LINES) + "\n")
         out_path = tmp_path / "words.hex"

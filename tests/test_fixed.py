@@ -107,6 +107,13 @@ class TestQuantize:
                 quantize(x, Q16_7, ROUND_HALF_AWAY, flags)
             assert not flags.overflow
 
+    # '1' escaped as TypeError, from operator.index
+    @pytest.mark.parametrize("x", ["1", None, b"1", 1j, [1]], ids=repr)
+    def test_non_number_rejected(self, x):
+        message = f"cannot quantize {x!r}: not a number"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            quantize(x, Q16_7)
+
     def test_unknown_rounding_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
             quantize(0.3, Q16_7, rounding="bogus")
@@ -120,6 +127,17 @@ class TestQuantize:
 
 
 class TestFixedValue:
+    # None and (16, 7) escaped as AttributeError, reading min_raw
+    @pytest.mark.parametrize("make", [
+        lambda fmt: Fixed(1, fmt),
+        lambda fmt: Fixed(0, Q16_7)._replace(fmt=fmt),
+    ], ids=["Fixed", "_replace"])
+    @pytest.mark.parametrize("fmt", [None, (16, 7), "Q8.7"], ids=repr)
+    def test_fmt_must_be_a_qformat(self, make, fmt):
+        message = f"fmt must be a QFormat, got {fmt!r}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            make(fmt)
+
     def test_immutable(self):
         x = Fixed(5, Q16_7)
         with pytest.raises(AttributeError):

@@ -75,6 +75,43 @@ class TestExponentAndChi:
             chi(-1, 16)
 
 
+# Each non-integer argument was taken at face value: exponent_matrix(2.5) and
+# dft_matrix(2.5) gave 3 x 3 matrices, chi(1.5, 4) all zeros,
+# congruence_class(1.5, 16) an empty set, build_M(1.5, 16) an IndexError.
+@pytest.mark.parametrize("call, message", [
+    (lambda: exponent_matrix(2.5), "order N must be an integer >= 1, got 2.5"),
+    (lambda: exponent_matrix("4"), "order N must be an integer >= 1, got '4'"),
+    (lambda: exponent_matrix(0), "order N must be an integer >= 1, got 0"),
+    (lambda: dft_matrix(2.5), "transform length N must be an integer >= 1, got 2.5"),
+    (lambda: dft_matrix("4"), "transform length N must be an integer >= 1, got '4'"),
+    (lambda: dft_matrix(0), "transform length N must be an integer >= 1, got 0"),
+    (lambda: chi(1.5, 4), "class index l must be an integer in [0, 3], got 1.5"),
+    (lambda: chi(16, 16), "class index l must be an integer in [0, 15], got 16"),
+    (lambda: chi(-1, 16), "class index l must be an integer in [0, 15], got -1"),
+    (lambda: chi(0, 2.5), "order N must be an integer >= 1, got 2.5"),
+    (lambda: congruence_class(1.5, 16), "label m must be an integer, got 1.5"),
+    (lambda: congruence_class("1", 16), "label m must be an integer, got '1'"),
+    (lambda: build_M(1.5, 16), "label m must be an integer, got 1.5"),
+    (lambda: build_M(None, 16), "label m must be an integer, got None"),
+], ids=["exponent-float", "exponent-str", "exponent-0", "dft-float", "dft-str", "dft-0",
+        "chi-float-l", "chi-l-N", "chi-l-negative", "chi-float-N", "class-float", "class-str",
+        "build_M-float", "build_M-None"])
+def test_paper_definitions_refuse_non_integers(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_paper_definitions_take_numpy_integers():
+    n, m = np.int64(16), np.int32(1)
+    assert np.array_equal(exponent_matrix(n), exponent_matrix(16))
+    assert np.abs(dft_matrix(np.uint8(12)) - dft_matrix(12)).max() == 0
+    assert np.array_equal(chi(np.int16(5), n), chi(5, 16))
+    classes = congruence_class(m, n)
+    assert classes == {1, 5, 9, 13} and all(type(l) is int for l in classes)
+    assert np.array_equal(build_M(m, n).re, build_M(1, 16).re)
+    assert np.array_equal(build_M(-m, n).im, build_M(-1, 16).im)
+
+
 class TestCongruenceClass:
     def test_known_classes(self):
         assert congruence_class(1, 16) == {1, 5, 9, 13}
