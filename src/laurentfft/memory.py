@@ -49,9 +49,9 @@ class StimulusFormatError(ValueError):
 
 @dataclass(frozen=True)
 class MemoryImage:
-    """What the device reads: input words in signed 16-bit range, which pass
-    fixed._admit_each and are stored as Python ints, and the select bit,
-    stored as a TransformSelect whatever its spelling."""
+    """What the device reads: at least one input word in signed 16-bit
+    range, which pass fixed._admit_each and are stored as Python ints, and
+    the select bit, stored as a TransformSelect whatever its spelling."""
 
     input_words: tuple[int, ...]
     select: TransformSelect
@@ -59,6 +59,8 @@ class MemoryImage:
     def __post_init__(self):
         object.__setattr__(self, "input_words",
                            _admit_each(self.input_words, "input word", -0x8000, 0x7FFF))
+        if not self.input_words:
+            raise ValueError("memory image contains no input words")
         object.__setattr__(self, "select", TransformSelect(self.select))
 
 
@@ -81,31 +83,28 @@ def pack_output(spectrum, select: TransformSelect | None = None,
 
     Accepts a fixed-mode TransformResult, which carries its select, or raw
     integers and a select (a TransformSelect or its name in any case):
-    (re, im) pairs for DFT, single raws for DHT, which pass
-    fixed._admit_each unbounded.  Raws beyond 16 bits saturate and mark the
-    flags context when one is supplied.
+    (re, im) pairs for DFT, single raws for DHT.  Either form's raws pass
+    fixed._admit_each unbounded, are paired by one strict zip for DFT, and
+    saturate beyond 16 bits, marking the flags context when one is supplied.
     """
     if isinstance(spectrum, TransformResult):
-        if spectrum.real_raw is None:
+        if spectrum.real_raw is None or (spectrum.imag_raw is None
+                                         and spectrum.select is TransformSelect.DFT):
             raise ValueError("packing is defined only for fixed-mode results")
         if select is not None and TransformSelect(select) is not spectrum.select:
             raise ValueError(f"select {select} disagrees with the result's {spectrum.select}")
-        select = spectrum.select
-        pairs = spectrum.real_raw
-        if select is TransformSelect.DFT:
-            pairs = zip(pairs, spectrum.imag_raw)
+        select, raws = spectrum.select, (spectrum.real_raw, spectrum.imag_raw)
     else:
-        select, pairs = TransformSelect(select), tuple(spectrum)
-        if select is TransformSelect.DFT:
-            re_raw, im_raw = zip(*pairs, strict=True) if pairs else ((), ())
-            pairs = zip(_admit_each(re_raw, "real raw"), _admit_each(im_raw, "imaginary raw"))
-        else:
-            pairs = _admit_each(pairs, "raw")
+        select, spectrum = TransformSelect(select), tuple(spectrum)
+        raws = (spectrum, None) if select is TransformSelect.DHT else (
+            zip(*spectrum, strict=True) if spectrum else ((), ()))
 
-    if select is TransformSelect.DFT:
-        return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
-                      for re_raw, im_raw in pairs])
-    return tuple([_half_word(raw, flags) for raw in pairs])
+    if select is TransformSelect.DHT:
+        return tuple([_half_word(raw, flags) for raw in _admit_each(raws[0], "raw")])
+    re_raw, im_raw = raws
+    pairs = zip(_admit_each(re_raw, "real raw"), _admit_each(im_raw, "imaginary raw"), strict=True)
+    return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
+                  for re_raw, im_raw in pairs])
 
 
 def unpack_output(words, select: TransformSelect):

@@ -133,11 +133,11 @@ def build_M(m: int, n: int) -> GaussianIntegerMatrix:
 
 
 def _as_ternary(mat: np.ndarray) -> np.ndarray:
-    # test the values as given: a bare cast would truncate 0.5 to 0
+    # bool, integer or float entries, tested as given: a bare cast truncates 0.5 to 0
     values = np.asarray(mat)
     if values.ndim != 2:
         raise PlanConstructionError(f"expected a 2-D matrix, got shape {values.shape}")
-    if (np.abs(values) <= 1).all():
+    if values.dtype.kind in "biuf" and (np.abs(values) <= 1).all():
         t = values.astype(np.int8, copy=False)
         if (t == values).all():
             return t

@@ -7,8 +7,8 @@ import re
 import numpy as np
 import pytest
 
-from laurentfft import (Fixed, FixedConfig, MemoryImage, QFormat, pack_output, read_output_words,
-                        unpack_output, write_output_words)
+from laurentfft import (Fixed, FixedConfig, MemoryImage, QFormat, TransformResult, TransformSelect,
+                        pack_output, read_output_words, unpack_output, write_output_words)
 
 Q16_7 = QFormat(16, 7)
 WORD16 = (-0x8000, 0x7FFF)
@@ -18,6 +18,11 @@ def _written(v, tmp_path):
     path = tmp_path / "words.hex"
     write_output_words([0, v], path)
     return read_output_words(path)[1]
+
+
+def _result(select, real_raw, imag_raw=None):
+    """A fixed-mode result holding the given raws, as execute would build it."""
+    return TransformResult(TransformSelect(select), np.zeros(len(real_raw)), real_raw, imag_raw)
 
 
 # (site, what the message names, (lo, hi) or None for unbounded, the value
@@ -38,6 +43,12 @@ SITES = [
      lambda v, _: unpack_output(pack_output([(0, 0), (v, 0)], "dft"), "dft")[1][0]),
     ("pack_output imaginary raw", "imaginary raw 1", None,
      lambda v, _: unpack_output(pack_output([(0, 0), (0, v)], "dft"), "dft")[1][1]),
+    ("pack_output result raw", "raw 1", None,
+     lambda v, _: unpack_output(pack_output(_result("dht", (0, v))), "dht")[1]),
+    ("pack_output result real raw", "real raw 1", None,
+     lambda v, _: unpack_output(pack_output(_result("dft", (0, v), (0, 0))), "dft")[1][0]),
+    ("pack_output result imaginary raw", "imaginary raw 1", None,
+     lambda v, _: unpack_output(pack_output(_result("dft", (0, 0), (0, v))), "dft")[1][1]),
     ("unpack_output", "output word 1", (0, 0xFFFFFFFF),
      lambda v, _: pack_output(unpack_output([0, v], "dft"), "dft")[1]),
     ("write_output_words", "output word 1", (0, 0xFFFFFFFF), _written),

@@ -15,6 +15,7 @@ from laurentfft import (
     OverflowFlag,
     QFormat,
     StimulusFormatError,
+    TransformResult,
     TransformSelect,
     build_plan,
     execute,
@@ -124,6 +125,40 @@ class TestPacking:
     def test_non_integer_raw_named(self, spectrum, select, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pack_output(spectrum, select)
+
+    # a DFT result's raws were zipped loosely and packed unchecked: two real
+    # raws and one imaginary packed one word, a missing imag_raw or a float
+    # raw escaped as TypeError (test_admission.py tries every bad raw)
+    @pytest.mark.parametrize("real_raw, imag_raw, message", [
+        ((1, 2), (3,), "zip() argument 2 is shorter than argument 1"),
+        ((np.float64(2.0), 0), (0, 0), f"real raw 0 must be an integer, got {np.float64(2.0)!r}"),
+        ((1, 2), None, "packing is defined only for fixed-mode results")],
+        ids=["length-mismatch", "float-raw", "no-imag-raw"])
+    def test_malformed_dft_result_refused(self, real_raw, imag_raw, message):
+        result = TransformResult(TransformSelect.DFT, np.zeros(2), real_raw, imag_raw)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pack_output(result)
+
+    @pytest.mark.parametrize("cfg", [
+        FixedConfig(), FixedConfig(rounding="truncate", acc_total_bits=18),
+        FixedConfig(QFormat(16, 15), acc_total_bits=17)],
+        ids=["default", "truncate-acc18", "q0.15-acc17"])
+    def test_result_packs_as_its_raws(self, cfg):
+        rng = np.random.default_rng(cfg.acc_total_bits)
+        flagged = []
+        for n in (4, 16, 64):
+            plan = build_plan(n)
+            for peak in (16, 32768):
+                v = rng.integers(-peak, peak, size=n) / cfg.fmt.scale
+                for select in TransformSelect:
+                    result = execute(plan, v, select, cfg)
+                    raws = (result.real_raw if select is TransformSelect.DHT
+                            else zip(result.real_raw, result.imag_raw))
+                    flags, raw_flags = OverflowFlag(), OverflowFlag()
+                    assert pack_output(result, flags=flags) == pack_output(raws, select, raw_flags)
+                    assert flags.overflow == raw_flags.overflow
+                    flagged.append(flags.overflow)
+        assert any(flagged) and not all(flagged)
 
     def test_oversized_raw_saturates_and_flags(self):
         flags = OverflowFlag()
@@ -330,6 +365,13 @@ class TestImageValidation:
         message = r"^input word 2 must be an integer in \[-32768, 32767\], got 40000$"
         with pytest.raises(ValueError, match=message):
             MemoryImage((0, 1, 40000, -40000), TransformSelect.DHT)
+
+    # () was accepted, and written as a file that load_stimulus refuses
+    @pytest.mark.parametrize("words", [(), [], np.array([], dtype=np.int16)],
+                             ids=["tuple", "list", "array"])
+    def test_no_input_words_refused(self, words):
+        with pytest.raises(ValueError, match="^memory image contains no input words$"):
+            MemoryImage(words, TransformSelect.DFT)
 
     def test_string_select_stored_as_member(self):
         assert MemoryImage((0,) * 16, "dht").select is TransformSelect.DHT

@@ -209,6 +209,23 @@ class TestEchelonFactor:
             with pytest.raises(PlanConstructionError):
                 echelon_factor(np.array(bad))
 
+    # 1j warned ComplexWarning before the refusal; '1' escaped as numpy's
+    # UFuncTypeError and None as TypeError
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("bad", [[[1j]], [[1 + 0j, 0]], [["1"]], [[None]], [[1, None]],
+                                     [[b"\x01"]]],
+                             ids=["complex", "complex-real", "str", "none", "object", "bytes"])
+    def test_non_real_entries_refused(self, bad):
+        with pytest.raises(PlanConstructionError, match=r"^matrix entries escaped \{-1, 0, \+1\}$"):
+            echelon_factor(bad)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("good", [[[True, False]], [[1, -1]], [[1.0, -0.0]],
+                                      np.array([[1, 0]], dtype=np.uint8)],
+                             ids=["bool", "int", "float", "uint8"])
+    def test_bool_integer_and_float_entries_factor(self, good):
+        assert (echelon_factor(good).product() == np.asarray(good)).all()
+
     @pytest.mark.parametrize("shape", [(3,), (2, 2, 2), ()])
     def test_non_matrix_input_names_its_shape(self, shape):
         with pytest.raises(PlanConstructionError,

@@ -241,6 +241,16 @@ class TestFileRoundTrip:
         assert (word_dir / "np.txt").read_bytes() == (word_dir / "py.txt").read_bytes()
         assert load_stimulus(word_dir / "np.txt") == MemoryImage(words, select)
 
+    @given(st.lists(INT16, max_size=64), st.sampled_from(list(TransformSelect)))
+    def test_every_image_that_constructs_reads_back(self, word_dir, words, select):
+        try:
+            image = MemoryImage(words, select)
+        except ValueError as exc:
+            assert not words and str(exc) == "memory image contains no input words"
+            return
+        write_stimulus(image, word_dir / "image.txt")
+        assert load_stimulus(word_dir / "image.txt") == image
+
     @given(st.lists(WORD32, max_size=64), st.data())
     def test_output_word_files(self, word_dir, words, data):
         write_output_words(words, word_dir / "py.hex")
