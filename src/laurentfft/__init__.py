@@ -36,7 +36,6 @@ from .memory import (
 )
 from .plan import (
     FactoredTernary,
-    GaussianIntegerMatrix,
     LaurentPlan,
     OpCount,
     PlanConstructionError,
@@ -65,7 +64,7 @@ __all__ = [
     "MemoryImage", "StimulusFormatError", "load_stimulus", "pack_output",
     "read_output_words", "run_device", "unpack_output", "write_output_words",
     "write_stimulus",
-    "FactoredTernary", "GaussianIntegerMatrix", "LaurentPlan", "OpCount",
+    "FactoredTernary", "LaurentPlan", "OpCount",
     "PlanConstructionError", "Stream", "UnsupportedLengthError",
     "build_M", "build_plan", "chi", "congruence_class", "count_ops", "echelon_factor",
     "exponent_matrix", "format_plan", "reconstruct",

@@ -11,7 +11,8 @@ Every integer the device holds -- a width, a raw, a memory word -- passes
 _admit (_admit_each for a sequence): a numpy integer is kept as the Python
 int it holds, and anything else, or an integer outside its word (masked, it
 would be another word), is a ValueError such as "Fixed raw must be an
-integer in [-32768, 32767], got 40000".
+integer in [-32768, 32767], got 40000".  A sequence that is not iterable is
+one too: "input words must be iterable, got 5".
 """
 
 from __future__ import annotations
@@ -41,11 +42,20 @@ def _admit(value, what: str, lo: int | None = None, hi: int | None = None) -> in
     return i
 
 
+def _as_tuple(values, what: str) -> tuple:
+    """values as a tuple; ValueError names what (plural) if they are not iterable."""
+    try:
+        return tuple(values)
+    except TypeError:
+        raise ValueError(f"{what}s must be iterable, got {values!r}") from None
+
+
 def _admit_each(values, what: str, lo: int | None = None,
                 hi: int | None = None) -> tuple[int, ...]:
-    """values as a tuple of _admit's ints.  All are converted and bounded at
-    once; only a failure walks them again, to name the first bad one "what i"."""
-    values = tuple(values)
+    """values as a tuple of _admit's ints, refused by _as_tuple if not iterable.
+    All are converted and bounded at once; only a failure walks them again,
+    to name the first bad one "what i"."""
+    values = _as_tuple(values, what)
     try:
         ints = tuple(map(operator.index, values))
         if lo is None or not ints or lo <= min(ints) and max(ints) <= hi:

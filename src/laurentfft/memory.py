@@ -11,7 +11,8 @@ fixed-point engine followed by packing, so a testbench diff against RTL
 isolates arithmetic bugs from memory-layout bugs.
 
 Words and raws from outside pass fixed._admit_each, as a Fixed raw does:
-"input word 2 must be an integer in [-32768, 32767], got 40000".
+"input word 2 must be an integer in [-32768, 32767], got 40000", or "input
+words must be iterable, got 5"; a DFT raw pair must hold two items.
 
 Testbench interchange files are plain text, one hex word per line:
 stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
@@ -34,7 +35,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import FixedConfig, TransformResult, TransformSelect, _fixed_config, execute
-from .fixed import OverflowFlag, QFormat, _admit_each, _saturate
+from .fixed import OverflowFlag, QFormat, _admit_each, _as_tuple, _saturate
 from .plan import LaurentPlan
 
 _WORD16 = 0xFFFF
@@ -77,15 +78,33 @@ def _half_word(raw: int, flags: OverflowFlag | None) -> int:
     return raw & _WORD16
 
 
+def _pair_columns(pairs) -> tuple[tuple, tuple]:
+    """The real and imaginary columns of DFT raw (re, im) pairs, by one strict
+    zip.  Only when that fails are the pairs walked again, to name the first
+    that is not a two-item pair "raw pair i"."""
+    pairs = _as_tuple(pairs, "raw pair")
+    try:
+        re_raw, im_raw = zip(*pairs, strict=True) if pairs else ((), ())
+        return re_raw, im_raw
+    except (TypeError, ValueError):
+        pass
+    for i, pair in enumerate(pairs):
+        try:
+            re_raw, im_raw = pair
+        except (TypeError, ValueError):
+            raise ValueError(f"raw pair {i} must be a (re, im) pair, got {pair!r}") from None
+
+
 def pack_output(spectrum, select: TransformSelect | None = None,
                 flags: OverflowFlag | None = None) -> tuple[int, ...]:
     """Pack a fixed-mode result into 32-bit output words.
 
     Accepts a fixed-mode TransformResult, which carries its select, or raw
     integers and a select (a TransformSelect or its name in any case):
-    (re, im) pairs for DFT, single raws for DHT.  Either form's raws pass
-    fixed._admit_each unbounded, are paired by one strict zip for DFT, and
-    saturate beyond 16 bits, marking the flags context when one is supplied.
+    (re, im) pairs for DFT, split into columns by _pair_columns, single raws
+    for DHT.  Either form's raws pass fixed._admit_each unbounded, are paired
+    by one strict zip for DFT, and saturate beyond 16 bits, marking the flags
+    context when one is supplied.
     """
     if isinstance(spectrum, TransformResult):
         if spectrum.real_raw is None or (spectrum.imag_raw is None
@@ -95,9 +114,8 @@ def pack_output(spectrum, select: TransformSelect | None = None,
             raise ValueError(f"select {select} disagrees with the result's {spectrum.select}")
         select, raws = spectrum.select, (spectrum.real_raw, spectrum.imag_raw)
     else:
-        select, spectrum = TransformSelect(select), tuple(spectrum)
-        raws = (spectrum, None) if select is TransformSelect.DHT else (
-            zip(*spectrum, strict=True) if spectrum else ((), ()))
+        select = TransformSelect(select)
+        raws = (spectrum, None) if select is TransformSelect.DHT else _pair_columns(spectrum)
 
     if select is TransformSelect.DHT:
         return tuple([_half_word(raw, flags) for raw in _admit_each(raws[0], "raw")])

@@ -4,7 +4,8 @@ The DFT matrix F[k, n] = w**(k*n mod N), w = exp(-2j*pi/N), is regrouped by
 the residue of the exponent k*n mod N.  Indicator matrices chi_l mark the
 positions with k*n = l (mod N); gathering the residues of each congruence
 class C_m = {l : l = m (mod N/4)} with unit weights (-j)**(4*(l-m)/N) gives
-matrices M_m whose entries lie in {0, +1, -1, +j, -j}, and
+matrices M_m (build_M returns each as a complex array) whose entries are the
+Gaussian units +1, -1, +j, -j or 0, and
 
     F = M_0 + sum_{m=1..floor((N/4-1)/2)} (w**m M_m + w**-m M_-m)
           + w**(N/8) M_(N/8)                      (last term iff N = 0 mod 8)
@@ -100,36 +101,23 @@ def congruence_class(m: int, n: int) -> set[int]:
     return {l for l in range(n) if (l - m) % (n // 4) == 0}
 
 
-@dataclass(frozen=True, eq=False)
-class GaussianIntegerMatrix:
-    """Matrix or class weight vector over {0, +1, -1, +j, -j}, as an integer (re, im) pair."""
-
-    re: np.ndarray
-    im: np.ndarray
-
-    def __post_init__(self):
-        # |re| + |im| = max(|re + im|, |re - im|), without a third temporary
-        if not ((abs(self.re + self.im) <= 1) & (abs(self.re - self.im) <= 1)).all():
-            raise PlanConstructionError("entries must be 0 or a unit (+-1, +-j)")
-        self.re.setflags(write=False)
-        self.im.setflags(write=False)
-
-
-def _class_weights(m: int, n: int) -> GaussianIntegerMatrix:
-    """The int8 weight of each residue l for a valid order N: (-j)**(4*(l - m)/N)
-    on C_m, where that power q is an integer (taken mod 4), and 0 off it."""
+def _class_weights(m: int, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The int8 vectors (re, im) of each residue l's weight for a valid order
+    N: (-j)**(4*(l - m)/N), a Gaussian unit, on C_m, where that power q is an
+    integer (taken mod 4), and 0 off it."""
     q, r = np.divmod((np.arange(n) - m) % n, n // 4)  # l is in C_m where r == 0
     re, im = np.array([[1, 0, -1, 0], [0, -1, 0, 1]], dtype=np.int8)[:, q] * (r == 0)
-    return GaussianIntegerMatrix(re, im)  # column q of the table is (re, im) of (-j)**q
+    return re, im  # column q of the table is (re, im) of (-j)**q
 
 
-def build_M(m: int, n: int) -> GaussianIntegerMatrix:
+def build_M(m: int, n: int) -> np.ndarray:
     """M_m = sum over l in C_m of (-j)**(4*(l - m)/N) chi_l: the class weights
-    gathered by the exponent matrix, in int8.  The label m is signed: M_-1
-    and M_(N/4 - 1) cover the same residues but differ by a unit factor."""
+    gathered by the exponent matrix, as a complex matrix of Gaussian units
+    (0, +-1, +-j, exact in doubles).  The label m is signed: M_-1 and
+    M_(N/4 - 1) cover the same residues but differ by a unit factor."""
     n, m = _require_mod4(n), _admit(m, "label m")
-    w, e = _class_weights(m, n), exponent_matrix(n)
-    return GaussianIntegerMatrix(w.re[e], w.im[e])
+    (re, im), e = _class_weights(m, n), exponent_matrix(n)
+    return re[e] + 1j * im[e]
 
 
 def _as_ternary(mat: np.ndarray) -> np.ndarray:
@@ -364,28 +352,28 @@ class LaurentPlan:
 def build_plan(n: int) -> LaurentPlan:
     """Assemble and validate the full decomposition for order N from class weights."""
     n = _require_mod4(n)
-    e, m0 = exponent_matrix(n), _class_weights(0, n)
-    streams = [Stream("unit", None, echelon_factor(m0.re[e]), "re", +1),
-               Stream("unit", None, echelon_factor(m0.im[e]), "im", +1)]
+    e, (re0, im0) = exponent_matrix(n), _class_weights(0, n)
+    streams = [Stream("unit", None, echelon_factor(re0[e]), "re", +1),
+               Stream("unit", None, echelon_factor(im0[e]), "im", +1)]
     for m in range(1, (n // 4 - 1) // 2 + 1):
-        pos, neg = _class_weights(m, n), _class_weights(-m, n)
+        (pos_re, pos_im), (neg_re, neg_im) = _class_weights(m, n), _class_weights(-m, n)
         theta = 2 * math.pi * m / n
         cos, sin = f"cos(2*pi*{m}/{n})", f"sin(2*pi*{m}/{n})"
         streams += [
-            Stream(cos, math.cos(theta), echelon_factor((pos.re + neg.re)[e]), "re", +1),
-            Stream(cos, math.cos(theta), echelon_factor((pos.im + neg.im)[e]), "im", +1),
-            Stream(sin, math.sin(theta), echelon_factor((pos.im - neg.im)[e]), "re", +1),
-            Stream(sin, math.sin(theta), echelon_factor((pos.re - neg.re)[e]), "im", -1),
+            Stream(cos, math.cos(theta), echelon_factor((pos_re + neg_re)[e]), "re", +1),
+            Stream(cos, math.cos(theta), echelon_factor((pos_im + neg_im)[e]), "im", +1),
+            Stream(sin, math.sin(theta), echelon_factor((pos_im - neg_im)[e]), "re", +1),
+            Stream(sin, math.sin(theta), echelon_factor((pos_re - neg_re)[e]), "im", -1),
         ]
     if n % 8 == 0:
         # w**(N/8) = (1 - j) * sqrt(2)/2, so the class at N/8 contributes
         # sqrt(2)/2 * (Re+Im) to the real part and sqrt(2)/2 * (Im-Re) to the
         # imaginary part.  The symmetric sum over +-m cannot reach this class
         # because m = N/8 is its own negative modulo N/4.
-        mid = _class_weights(n // 8, n)
+        mid_re, mid_im = _class_weights(n // 8, n)
         streams += [
-            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid.re + mid.im)[e]), "re", +1),
-            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid.im - mid.re)[e]), "im", +1),
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid_re + mid_im)[e]), "re", +1),
+            Stream("sqrt(2)/2", math.sqrt(0.5), echelon_factor((mid_im - mid_re)[e]), "im", +1),
         ]
     plan = LaurentPlan(order=n, streams=tuple(streams))
     err = np.abs(reconstruct(plan) - dft_matrix(n)).max()

@@ -82,3 +82,23 @@ def test_good_values_kept_as_plain_ints(site, what, bounds, call, tmp_path):
             assert type(kept) is int and kept == good
             tried += 1
     assert tried >= 6
+
+
+# Each of these escaped as a TypeError ("'int' object is not iterable", "too
+# many values to unpack", "zip() argument 2 is shorter ...") naming no argument.
+@pytest.mark.parametrize("call, message", [
+    (lambda _: MemoryImage(5, "dft"), "input words must be iterable, got 5"),
+    (lambda _: MemoryImage(None, "dft"), "input words must be iterable, got None"),
+    (lambda _: unpack_output(5, "dft"), "output words must be iterable, got 5"),
+    (lambda p: write_output_words(5, p / "words.hex"), "output words must be iterable, got 5"),
+    (lambda _: pack_output(5, "dht"), "raws must be iterable, got 5"),
+    (lambda _: pack_output([5], "dft"), "raw pair 0 must be a (re, im) pair, got 5"),
+    (lambda _: pack_output([(1, 2, 3)], "dft"),
+     "raw pair 0 must be a (re, im) pair, got (1, 2, 3)"),
+    (lambda _: pack_output([(1,)], "dft"), "raw pair 0 must be a (re, im) pair, got (1,)"),
+    (lambda _: pack_output([(1, 2), (3,)], "dft"), "raw pair 1 must be a (re, im) pair, got (3,)"),
+], ids=["image-int", "image-None", "unpack-int", "write-int", "pack-dht-int", "pair-int",
+        "pair-three", "pair-one", "pair-short"])
+def test_malformed_sequences_refused_by_name(call, message, tmp_path):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(tmp_path)
