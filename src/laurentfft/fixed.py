@@ -17,7 +17,6 @@ one too: "input words must be iterable, got 5".
 
 from __future__ import annotations
 
-import math
 import operator
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -58,7 +57,7 @@ def _admit_each(values, what: str, lo: int | None = None,
     values = _as_tuple(values, what)
     try:
         ints = tuple(map(operator.index, values))
-        if lo is None or not ints or lo <= min(ints) and max(ints) <= hi:
+        if lo is None or not ints or lo <= min(ints) and (hi is None or max(ints) <= hi):
             return ints
     except TypeError:
         pass
@@ -172,13 +171,13 @@ def quantize(x, fmt: QFormat, rounding: str = ROUND_HALF_AWAY,
              flags: OverflowFlag | None = None) -> Fixed:
     """Quantize a real number onto the format's grid.
 
-    Out-of-range values saturate to the nearest bound and mark the sticky
-    flag.  The exact binary expansion of the input is used, so rounding
-    decisions never suffer double rounding.  Infinities, NaN and what is
-    not a number have no value on the grid and raise ValueError.
+    The exact rational num * 2**frac_bits / den, num / den being the input's
+    exact ratio, is rounded once.  Out-of-range values saturate to the
+    nearest bound and mark the sticky flag.  Infinities, NaN and what is not
+    a number have no value on the grid and raise ValueError.
     """
     try:
-        num, den = x.as_integer_ratio()  # in lowest terms, den > 0
+        num, den = x.as_integer_ratio()  # den > 0, as _div_round needs
     except AttributeError:  # integers such as np.int64
         try:
             num, den = operator.index(x), 1
@@ -186,8 +185,7 @@ def quantize(x, fmt: QFormat, rounding: str = ROUND_HALF_AWAY,
             raise ValueError(f"cannot quantize {x!r}: not a number") from None
     except (OverflowError, ValueError):
         raise ValueError(f"cannot quantize {x!r}: not a finite number") from None
-    g = math.gcd(fmt.scale, den)  # (num * scale) / den in lowest terms
-    raw = _div_round(num * (fmt.scale // g), den // g, rounding)
+    raw = _div_round(num * fmt.scale, den, rounding)
     return _tuple_new(Fixed, (_saturate(raw, fmt, flags), fmt))
 
 

@@ -49,10 +49,10 @@ from .reference import dft_matrix
 RECONSTRUCTION_TOL = 1e-12
 # Largest block length a plan is built for, so that an oversized request
 # fails at once.  On one pinned CPU of a 2-vCPU Xeon (Python 3.11, numpy 2.4)
-# build_plan(256) takes 0.09 s at 35 MB peak RSS, build_plan(512) 0.67 s at
+# build_plan(256) takes 0.10 s at 35 MB peak RSS, build_plan(512) 0.72 s at
 # 50 MB and the slowest, build_plan(508) (ranks summing to 31760, against
-# 14576 at N = 512), 0.57-0.80 s at 52 MB; the first read of its optimal
-# adds 0.57-0.59 s (0.05 s at 512).  The spread follows the machine's load.
+# 14576 at N = 512), 0.78-1.11 s at 52 MB; the first read of its optimal
+# adds 0.62-1.03 s (0.04 s at 512).  The spread follows the machine's load.
 MAX_ORDER = 512
 # Prime for the independence test behind FactoredTernary.optimal; (P - 1)**2 fits int64.
 _PRIME = 2**31 - 1
@@ -147,7 +147,7 @@ class RowTable(NamedTuple("RowTable", [("rows", np.ndarray), ("cols", np.ndarray
 
     @functools.cached_property
     def terms(self) -> tuple[tuple[int, int, int], ...]:
-        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.signs.astype(int).tolist()))
+        return tuple(zip(self.rows.tolist(), self.cols.tolist(), self.signs.tolist()))
 
     def dense(self, ncols: int) -> np.ndarray:
         """The table as a read-only (nrows, ncols) int8 matrix, built on each call."""
@@ -195,21 +195,16 @@ class FactoredTernary:
 
 
 def _independent_columns(mat: np.ndarray) -> bool:
-    """True if the integer columns are linearly independent.
+    """True if the columns of the integer matrix mat are linearly independent.
 
-    Entries of any dtype are taken as int64 (so the arithmetic below is
-    exact); a non-integral entry raises ValueError.  A column that is the
-    only nonzero in some row has a zero coefficient in every vanishing
-    combination of the columns, so it is peeled off; peeling repeats until
-    no such column is left.  The rest are reduced by Gaussian elimination
-    modulo _PRIME: independence modulo a prime implies independence over
-    the rationals, and peeling is exact over both.
+    The entries are taken as int64, so the arithmetic below is exact.  A
+    column that is the only nonzero in some row has a zero coefficient in
+    every vanishing combination of the columns, so it is peeled off; peeling
+    repeats until no such column is left.  The rest are reduced by Gaussian
+    elimination modulo _PRIME: independence modulo a prime implies
+    independence over the rationals, and peeling is exact over both.
     """
-    values = np.asarray(mat)
-    with np.errstate(invalid="ignore"):  # NaN and out-of-range casts fail the test below
-        ints = values.astype(np.int64)
-    if not (ints == values).all():
-        raise ValueError("columns must have integer entries")
+    ints = np.asarray(mat, dtype=np.int64)
     live = ints != 0
     keep = np.ones(ints.shape[1], dtype=bool)
     while (peel := live[live.sum(axis=1) == 1].any(axis=0)).any():

@@ -1,8 +1,35 @@
-"""The dense fixed-point oracle, shared by the engine tests and the
-exhaustive conformance check: the fixed executor's arithmetic re-derived
-from the plan's dense factor matrices, one entry at a time."""
+"""Oracles shared by the test modules.  The scalar model: an op's exact
+result as a Fraction, rounded and saturated by the rules alone.  The dense
+fixed-point oracle, for the engine tests and the exhaustive conformance
+check: the fixed executor's arithmetic re-derived from the plan's dense
+factor matrices, one entry at a time."""
 
-from laurentfft import Fixed, OverflowFlag, TransformSelect, fx_add, fx_mul, fx_sub, quantize, widen
+import math
+from fractions import Fraction
+
+from laurentfft import (ROUND_HALF_EVEN, ROUND_TRUNCATE, Fixed, OverflowFlag, QFormat,
+                        TransformSelect, fx_add, fx_mul, fx_sub, quantize, widen)
+
+
+def _round_model(q: Fraction, mode: str) -> int:
+    if mode == ROUND_TRUNCATE:
+        return math.trunc(q)
+    if mode == ROUND_HALF_EVEN:
+        return round(q)  # Fraction rounds half to even
+    away = math.floor(abs(q) + Fraction(1, 2))
+    return away if q >= 0 else -away
+
+
+def _saturate_model(raw: int, fmt: QFormat) -> tuple[int, bool]:
+    clamped = min(max(raw, fmt.min_raw), fmt.max_raw)
+    return clamped, clamped != raw
+
+
+def _check(result: Fixed, flags: OverflowFlag, fmt: QFormat, exact_raw: int):
+    raw, saturated = _saturate_model(exact_raw, fmt)
+    assert result.fmt == fmt
+    assert result.raw == raw and type(result.raw) is int
+    assert flags.overflow == saturated
 
 
 def _dense_rows_fixed(mat, vals, zero, flags):

@@ -9,6 +9,7 @@ import pytest
 
 from laurentfft import (Fixed, FixedConfig, MemoryImage, QFormat, TransformResult, TransformSelect,
                         pack_output, read_output_words, unpack_output, write_output_words)
+from laurentfft.fixed import _admit, _admit_each
 
 Q16_7 = QFormat(16, 7)
 WORD16 = (-0x8000, 0x7FFF)
@@ -102,3 +103,14 @@ def test_good_values_kept_as_plain_ints(site, what, bounds, call, tmp_path):
 def test_malformed_sequences_refused_by_name(call, message, tmp_path):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(tmp_path)
+
+
+# A lower bound alone bounds a sequence as it bounds one integer; the fast
+# path used to compare max(ints) <= None, swallow the TypeError and return None.
+def test_lower_bound_alone_bounds_each_item():
+    assert _admit(5, "w", 0) == 5
+    kept = _admit_each([1, np.int64(2), 3], "w", 0)
+    assert kept == (1, 2, 3) and all(type(i) is int for i in kept)
+    assert _admit_each([], "w", 0) == ()
+    with pytest.raises(ValueError, match=r"^w 1 must be an integer >= 0, got -1$"):
+        _admit_each([0, -1, 2], "w", 0)

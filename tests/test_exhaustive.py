@@ -8,16 +8,17 @@ small word over its scale, so quantize takes each sample exactly:
 
 Input i of a space has, as sample k, digit k of i in base 2**total_bits,
 read as a two's-complement raw.  check_space runs execute on inputs of a
-space, at the space's accumulator width (5 bits at N = 4, 3 bits at N = 8)
-and a rounding (half-away by default), and asserts that its raws and
-overflow flag are the dense oracle's.  Those widths saturate on some inputs
-and not on others.
+space, at an accumulator width (by default the space's: 5 bits at N = 4,
+3 bits at N = 8) and a rounding (half-away by default), and asserts that
+its raws and overflow flag are the dense oracle's.  Those widths saturate on
+some inputs and not on others.
 
 Tier-1 runs a fixed slice, every STRIDE-th input of each space (an odd
 stride, so every sample takes every value), for DFT and DHT, half-away.  The
-full spaces run without a stride as a CI step, and the N = 8 space again
-with half-even and truncate: only there do products, and so roundings, occur
-(every N = 4 weight is a unit).
+full spaces run without a stride as a CI step; the N = 8 space again with
+half-even and truncate, since only there do products, and so roundings,
+occur (every N = 4 weight is a unit); and both spaces again at a 4-bit
+accumulator, half-away.
 
   PYTHONPATH=src:tests python -c 'from test_exhaustive import check_space; check_space(8, "dft")'
 """
@@ -44,14 +45,14 @@ def space_signals(n: int, indices) -> np.ndarray:
     return ((digits ^ half) - half) / fmt.scale
 
 
-def check_space(n: int, select, indices=range(SPACE_SIZE),
-                rounding: str = ROUNDING) -> tuple[int, int]:
+def check_space(n: int, select, indices=range(SPACE_SIZE), rounding: str = ROUNDING,
+                acc_bits: int | None = None) -> tuple[int, int]:
     """Assert that execute gives the oracle's raws and flag on inputs
     indices of the space of length n (all of them by default), with the
-    given rounding.  Returns the number of inputs run and how many of them
-    saturated."""
-    fmt, acc_bits = SPACES[n]
-    cfg = FixedConfig(fmt, rounding, acc_bits)
+    given rounding and accumulator width (the space's own by default).
+    Returns the number of inputs run and how many of them saturated."""
+    fmt, space_acc_bits = SPACES[n]
+    cfg = FixedConfig(fmt, rounding, space_acc_bits if acc_bits is None else acc_bits)
     plan, select = build_plan(n), TransformSelect(select)
     saturated = 0
     for index, v in zip(indices, space_signals(n, indices), strict=True):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
@@ -22,6 +23,8 @@ from laurentfft import (
     quantize,
     widen,
 )
+
+from fixed_oracle import _check, _round_model
 
 Q16_7 = QFormat(16, 7)
 Q32_7 = QFormat(32, 7)
@@ -117,6 +120,21 @@ class TestQuantize:
     def test_unknown_rounding_mode_rejected(self):
         with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
             quantize(0.3, Q16_7, rounding="bogus")
+
+    # The extremes of the double range and exact half-ulp ties, on every
+    # rounding: the inputs whose ratio num / den shares the most factors of
+    # two with the scale.  The property test draws such classes, not on every run.
+    @pytest.mark.parametrize("rounding", [ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
+    @pytest.mark.parametrize("fmt", [QFormat(16, 1), Q16_7, QFormat(16, 15), QFormat(32, 31)],
+                             ids=str)
+    def test_edge_cases_against_fraction_model(self, fmt, rounding):
+        ties = [(k + 0.5) / fmt.scale for k in (0, 1, 2, 3, fmt.max_raw)]
+        assert all(Fraction(t) * fmt.scale % 1 == Fraction(1, 2) for t in ties)
+        for x in [5e-324, sys.float_info.min, 1e300] + ties:
+            for v in (x, -x):
+                flags = OverflowFlag()
+                _check(quantize(v, fmt, rounding, flags), flags, fmt,
+                       _round_model(Fraction(v) * fmt.scale, rounding))
 
     def test_round_trip_half_ulp(self):
         rng = np.random.default_rng(31)

@@ -3,7 +3,6 @@ of the exact executor, and the round trips of output-word packing and of
 stimulus and output-word files, with raws and words as Python or numpy
 integers."""
 
-import math
 import sys
 from fractions import Fraction
 
@@ -34,6 +33,8 @@ from laurentfft import (
     write_output_words,
     write_stimulus,
 )
+
+from fixed_oracle import _check, _round_model, _saturate_model
 
 MODES = st.sampled_from([ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
 FORMATS = st.integers(2, 32).flatmap(
@@ -66,27 +67,6 @@ def np_ints(values: list):
 def _ints(values) -> bool:
     """Every value, or each value of every pair, is a plain int."""
     return all(type(v) is int for x in values for v in (x if isinstance(x, tuple) else (x,)))
-
-
-def _round_model(q: Fraction, mode: str) -> int:
-    if mode == ROUND_TRUNCATE:
-        return math.trunc(q)
-    if mode == ROUND_HALF_EVEN:
-        return round(q)  # Fraction rounds half to even
-    away = math.floor(abs(q) + Fraction(1, 2))
-    return away if q >= 0 else -away
-
-
-def _saturate_model(raw: int, fmt: QFormat) -> tuple[int, bool]:
-    clamped = min(max(raw, fmt.min_raw), fmt.max_raw)
-    return clamped, clamped != raw
-
-
-def _check(result: Fixed, flags: OverflowFlag, fmt: QFormat, exact_raw: int):
-    raw, saturated = _saturate_model(exact_raw, fmt)
-    assert result.fmt == fmt
-    assert result.raw == raw and type(result.raw) is int
-    assert flags.overflow == saturated
 
 
 @st.composite
