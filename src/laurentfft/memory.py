@@ -10,11 +10,14 @@ The model is functional, not cycle-accurate: run_device is exactly the
 fixed-point engine followed by packing, so a testbench diff against RTL
 isolates arithmetic bugs from memory-layout bugs.
 
-Words and raws from outside pass fixed._admit_each, as a Fixed raw does:
-"input word 2 must be an integer in [-32768, 32767], got 40000", or "input
-words must be iterable, got 5"; a DFT raw pair must hold two items.
+pack_output packs a fixed-mode TransformResult, which carries its select;
+unpack_output decodes the words the RTL writes.  Words and raws from outside
+pass fixed._admit_each, as a Fixed raw does: "input word 2 must be an
+integer in [-32768, 32767], got 40000", or "input words must be iterable,
+got 5".
 
-Testbench interchange files are plain text, one hex word per line:
+Testbench interchange files are plain text, one hex word per line; a line
+ends at LF alone, and spaces, tabs and a CRLF's CR around a word are blank:
 stimulus files start with a header line "SELECT DFT" or "SELECT DHT"
 followed by 16-bit input words; output files hold 32-bit words.  A word
 is 1-4 (stimulus) or 1-8 (output) hex digits in either case, with no sign,
@@ -28,6 +31,7 @@ nothing.
 from __future__ import annotations
 
 import os
+import re
 import stat
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -35,7 +39,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .engine import FixedConfig, TransformResult, TransformSelect, _fixed_config, execute
-from .fixed import OverflowFlag, QFormat, _admit_each, _as_tuple, _saturate
+from .fixed import OverflowFlag, QFormat, _admit_each, _saturate
 from .plan import LaurentPlan
 
 _WORD16 = 0xFFFF
@@ -78,57 +82,28 @@ def _half_word(raw: int, flags: OverflowFlag | None) -> int:
     return raw & _WORD16
 
 
-def _pair_columns(pairs) -> tuple[tuple, tuple]:
-    """The real and imaginary columns of DFT raw (re, im) pairs, by one strict
-    zip.  Only when that fails are the pairs walked again, to name the first
-    that is not a two-item pair "raw pair i"."""
-    pairs = _as_tuple(pairs, "raw pair")
-    try:
-        re_raw, im_raw = zip(*pairs, strict=True) if pairs else ((), ())
-        return re_raw, im_raw
-    except (TypeError, ValueError):
-        pass
-    for i, pair in enumerate(pairs):
-        try:
-            re_raw, im_raw = pair
-        except (TypeError, ValueError):
-            raise ValueError(f"raw pair {i} must be a (re, im) pair, got {pair!r}") from None
-
-
-def pack_output(spectrum, select: TransformSelect | None = None,
-                flags: OverflowFlag | None = None) -> tuple[int, ...]:
-    """Pack a fixed-mode result into 32-bit output words.
-
-    Accepts a fixed-mode TransformResult, which carries its select, or raw
-    integers and a select (a TransformSelect or its name in any case):
-    (re, im) pairs for DFT, split into columns by _pair_columns, single raws
-    for DHT.  Either form's raws pass fixed._admit_each unbounded, are paired
-    by one strict zip for DFT, and saturate beyond 16 bits, marking the flags
-    context when one is supplied.
-    """
-    if isinstance(spectrum, TransformResult):
-        if spectrum.real_raw is None or (spectrum.imag_raw is None
-                                         and spectrum.select is TransformSelect.DFT):
-            raise ValueError("packing is defined only for fixed-mode results")
-        if select is not None and TransformSelect(select) is not spectrum.select:
-            raise ValueError(f"select {select} disagrees with the result's {spectrum.select}")
-        select, raws = spectrum.select, (spectrum.real_raw, spectrum.imag_raw)
-    else:
-        select = TransformSelect(select)
-        raws = (spectrum, None) if select is TransformSelect.DHT else _pair_columns(spectrum)
-
-    if select is TransformSelect.DHT:
-        return tuple([_half_word(raw, flags) for raw in _admit_each(raws[0], "raw")])
-    re_raw, im_raw = raws
-    pairs = zip(_admit_each(re_raw, "real raw"), _admit_each(im_raw, "imaginary raw"), strict=True)
+def pack_output(result: TransformResult, flags: OverflowFlag | None = None) -> tuple[int, ...]:
+    """Pack a fixed-mode result into 32-bit output words, in the layout of
+    result.select; anything else, an exact-mode result included, raises
+    ValueError.  The raws pass fixed._admit_each unbounded, as a result may be
+    built by hand, DFT columns pair by one strict zip, and a raw beyond 16
+    bits saturates, marking the flags context when one is supplied."""
+    if not isinstance(result, TransformResult) or result.real_raw is None or (
+            result.imag_raw is None and result.select is TransformSelect.DFT):
+        raise ValueError("packing is defined only for fixed-mode results")
+    if result.select is TransformSelect.DHT:
+        return tuple([_half_word(raw, flags) for raw in _admit_each(result.real_raw, "raw")])
+    pairs = zip(_admit_each(result.real_raw, "real raw"),
+                _admit_each(result.imag_raw, "imaginary raw"), strict=True)
     return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
                   for re_raw, im_raw in pairs])
 
 
 def unpack_output(words, select: TransformSelect):
-    """Inverse of pack_output: recover signed 16-bit raws as Python ints.  A
-    word that is not an integer in [0, 2**32), or a DHT word whose upper
-    half is not zero, raises ValueError naming its index."""
+    """Decode output words as the RTL writes them, the inverse of pack_output:
+    signed 16-bit raws as Python ints, (re, im) pairs for DFT.  A word that
+    is not an integer in [0, 2**32), or a DHT word whose upper half is not
+    zero, raises ValueError naming its index."""
     select, words = TransformSelect(select), _admit_each(words, "output word", 0, _WORD32)
     # each 16-bit half h sign-extended as (h ^ 0x8000) - 0x8000
     if select is TransformSelect.DFT:
@@ -156,15 +131,15 @@ def _hex_words(path, lines: list[str], digits: int, first: int = 0) -> list[int]
     """The values of the hex words on lines[first:], blank lines skipped.
 
     int(text, 16) alone would also take a sign, a 0x prefix, underscores and
-    any number of digits.  So the stripped words are checked all at once:
+    any number of digits.  So the words are checked all at once:
     their joined characters against the hex digits and the longest against
     digits.  Only when that fails are the lines walked again, to name
     path:line of the first word that is not 1 to digits hex digits.
     """
-    words = [text for text in map(str.strip, lines[first:]) if text]
+    words = [text for text in lines[first:] if text]
     if _HEX_DIGITS.issuperset("".join(words)) and max(map(len, words), default=0) <= digits:
         return [int(text, 16) for text in words]
-    lineno, text = next((i, text) for i, text in enumerate(map(str.strip, lines[first:]), first + 1)
+    lineno, text = next((i, text) for i, text in enumerate(lines[first:], first + 1)
                         if text and (len(text) > digits or not _HEX_DIGITS.issuperset(text)))
     raise StimulusFormatError(
         f"{path}:{lineno}: malformed hex word {text!r} (expected 1 to {digits} hex digits)"
@@ -172,19 +147,19 @@ def _hex_words(path, lines: list[str], digits: int, first: int = 0) -> list[int]
 
 
 def _read_ascii_lines(path) -> list[str]:
-    """The lines of an ASCII text file; StimulusFormatError names path:line of a non-ASCII byte.
+    """The lines of an ASCII text file, each stripped of spaces, tabs and a
+    CRLF's CR; StimulusFormatError names path:line of a non-ASCII byte.
 
-    The file is read whole through an unbuffered FileIO, which sizes its
-    result from fstat and reads into it directly, with no BufferedReader
-    copying in between.
+    A line ends at LF alone, where str.splitlines would also end one at VT,
+    FF and FS to RS.  The file is read whole through an unbuffered FileIO,
+    which sizes its result from fstat and reads into it directly.
     """
     with open(path, "rb", buffering=0) as fh:
         data = fh.read()
     try:
-        return data.decode("ascii").splitlines()
+        return [line.strip(" \t\r") for line in data.decode("ascii").split("\n")]
     except UnicodeDecodeError as exc:
-        # the bad byte ends the line that splitlines would number lineno
-        lineno = len((data[:exc.start].decode("ascii") + "?").splitlines())
+        lineno = data.count(b"\n", 0, exc.start) + 1
         raise StimulusFormatError(
             f"{path}:{lineno}: non-ASCII byte {data[exc.start]:#04x}") from None
 
@@ -192,15 +167,15 @@ def _read_ascii_lines(path) -> list[str]:
 def load_stimulus(path) -> MemoryImage:
     """Read a stimulus file: SELECT header plus one 16-bit hex word per line."""
     lines = _read_ascii_lines(path)
-    header_no = next((i for i, line in enumerate(lines, 1) if line.strip()), None)
+    header_no = next((i for i, line in enumerate(lines, 1) if line), None)
     if header_no is None:
         raise StimulusFormatError(f"{path}: empty stimulus file")
-    header = lines[header_no - 1].strip()
-    parts = header.upper().split()
-    if len(parts) != 2 or parts[0] != "SELECT" or parts[1] not in TransformSelect.__members__:
+    header = lines[header_no - 1]
+    match = re.fullmatch(r"SELECT[ \t]+(\w+)", header, re.IGNORECASE)
+    if match is None or match[1].upper() not in TransformSelect.__members__:
         names = " or ".join(f"'SELECT {name}'" for name in TransformSelect.__members__)
         raise StimulusFormatError(f"{path}:{header_no}: expected {names}, got {header!r}")
-    select = TransformSelect[parts[1]]
+    select = TransformSelect[match[1].upper()]
     # each 16-bit word h sign-extended as (h ^ 0x8000) - 0x8000
     words = tuple([(w ^ 0x8000) - 0x8000 for w in _hex_words(path, lines, 4, header_no)])
     if not words:

@@ -2,13 +2,16 @@
 result as a Fraction, rounded and saturated by the rules alone.  The dense
 fixed-point oracle, for the engine tests and the exhaustive conformance
 check: the fixed executor's arithmetic re-derived from the plan's dense
-factor matrices, one entry at a time."""
+factor matrices, one entry at a time.  The packing model: a fixed-mode
+result's output words by the word layout alone."""
 
 import math
 from fractions import Fraction
 
+import numpy as np
+
 from laurentfft import (ROUND_HALF_EVEN, ROUND_TRUNCATE, Fixed, OverflowFlag, QFormat,
-                        TransformSelect, fx_add, fx_mul, fx_sub, quantize, widen)
+                        TransformResult, TransformSelect, fx_add, fx_mul, fx_sub, quantize, widen)
 
 
 def _round_model(q: Fraction, mode: str) -> int:
@@ -30,6 +33,22 @@ def _check(result: Fixed, flags: OverflowFlag, fmt: QFormat, exact_raw: int):
     assert result.fmt == fmt
     assert result.raw == raw and type(result.raw) is int
     assert flags.overflow == saturated
+
+
+def _fixed_result(select, real_raw, imag_raw=None) -> TransformResult:
+    """A fixed-mode result holding the given raws, as execute would build it."""
+    return TransformResult(TransformSelect(select), np.zeros(len(real_raw)), real_raw, imag_raw)
+
+
+def _pack_model(result: TransformResult) -> tuple[tuple[int, ...], bool]:
+    """result's output words and packing flag: each raw clamped to 16 bits,
+    then ((re & 0xFFFF) << 16) | (im & 0xFFFF) for DFT, re & 0xFFFF for DHT."""
+    re = [_saturate_model(int(raw), QFormat(16, 7)) for raw in result.real_raw]
+    if result.select is TransformSelect.DHT:
+        return tuple(c & 0xFFFF for c, _ in re), any(s for _, s in re)
+    im = [_saturate_model(int(raw), QFormat(16, 7)) for raw in result.imag_raw]
+    words = [((a & 0xFFFF) << 16) | (b & 0xFFFF) for (a, _), (b, _) in zip(re, im, strict=True)]
+    return tuple(words), any(s for _, s in re + im)
 
 
 def _dense_rows_fixed(mat, vals, zero, flags):

@@ -25,6 +25,8 @@ from laurentfft import (
     unpack_output,
 )
 
+from fixed_oracle import _fixed_result
+
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
 LENGTHS = (4, 8, 12, 16, 20, 24, 28, 32)
 
@@ -132,11 +134,12 @@ def test_criterion_8_packing_round_trip_and_golden_words(plan16):
     rng = np.random.default_rng(2027)
     round_trip = True
     for _ in range(1000):
-        pairs = [(int(a), int(b)) for a, b in rng.integers(-32768, 32768, size=(16, 2))]
-        round_trip &= unpack_output(pack_output(pairs, TransformSelect.DFT),
-                                    TransformSelect.DFT) == tuple(pairs)
+        re_raw, im_raw = (tuple(int(x) for x in col)
+                          for col in rng.integers(-32768, 32768, size=(2, 16)))
+        round_trip &= unpack_output(pack_output(_fixed_result("dft", re_raw, im_raw)),
+                                    TransformSelect.DFT) == tuple(zip(re_raw, im_raw))
         raws = tuple(int(x) for x in rng.integers(-32768, 32768, size=16))
-        round_trip &= unpack_output(pack_output(raws, TransformSelect.DHT),
+        round_trip &= unpack_output(pack_output(_fixed_result("dht", raws)),
                                     TransformSelect.DHT) == raws
     raws_in = tuple(x * 128 for x in RAMP2)
     dft_word = run_device(MemoryImage(raws_in, TransformSelect.DFT), plan16).output_words[2]

@@ -253,6 +253,18 @@ class TestTransform:
         assert (code, out) == (1, "")
         assert err == f"error: {path}:3: non-ASCII byte 0xe9\n"
 
+    # a line ends at LF alone: the FF and VT on lines 1 and 2 end no line
+    @pytest.mark.parametrize("data, where", [
+        (b"0.5\x0c1.0\n2.0\x0b3.0\nx4\n", "3: not a number: 'x4'"),
+        (b"0.5\x0c1.0\n2.0\x0b3.0\n\xe9\n", "3: non-ASCII byte 0xe9")],
+        ids=["not-a-number", "non-ascii"])
+    def test_sample_file_lines_end_at_lf(self, capsys, tmp_path, data, where):
+        path = tmp_path / "samples.csv"
+        path.write_bytes(data)
+        code, out, err = run_cli(capsys, "transform", "--input", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: {path}:{where}\n"
+
     def test_missing_input_file(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "transform", "--n", "16",
                                "--input", str(tmp_path / "nope.csv"))

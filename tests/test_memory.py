@@ -30,6 +30,8 @@ from laurentfft import (
 )
 from laurentfft.memory import DeviceOutput
 
+from fixed_oracle import _fixed_result, _pack_model
+
 RAMP2_RAWS = tuple(x * 128 for x in [0, 1, 2, 3, 4, 5, 6, 7] * 2)
 
 # Q8.7 encodings of the device outputs for the ramp vector
@@ -50,12 +52,12 @@ def plan16():
 
 class TestPacking:
     def test_dft_word_layout(self):
-        words = pack_output([(-1024, 2480)], TransformSelect.DFT)
+        words = pack_output(_fixed_result("dft", (-1024,), (2480,)))
         assert words == (0xFC0009B0,)
 
     def test_dht_word_layout(self):
-        assert pack_output([-3504], TransformSelect.DHT) == (0x0000F250,)
-        assert pack_output([0], TransformSelect.DHT) == (0x00000000,)
+        assert pack_output(_fixed_result("dht", (-3504,))) == (0x0000F250,)
+        assert pack_output(_fixed_result("dht", (0,))) == (0x00000000,)
 
     def test_unpack_inverts(self):
         assert unpack_output([0xFC0009B0], TransformSelect.DFT) == ((-1024, 2480),)
@@ -81,30 +83,34 @@ class TestPacking:
     def test_round_trip_random_raws(self):
         rng = np.random.default_rng(51)
         for _ in range(1000):
-            pairs = [(int(a), int(b)) for a, b in
-                     rng.integers(-32768, 32768, size=(16, 2))]
-            assert unpack_output(pack_output(pairs, TransformSelect.DFT),
-                                 TransformSelect.DFT) == tuple(pairs)
+            re_raw, im_raw = (tuple(int(x) for x in col)
+                              for col in rng.integers(-32768, 32768, size=(2, 16)))
+            assert unpack_output(pack_output(_fixed_result("dft", re_raw, im_raw)),
+                                 TransformSelect.DFT) == tuple(zip(re_raw, im_raw))
             raws = tuple(int(x) for x in rng.integers(-32768, 32768, size=16))
-            assert unpack_output(pack_output(raws, TransformSelect.DHT),
+            assert unpack_output(pack_output(_fixed_result("dht", raws)),
                                  TransformSelect.DHT) == raws
 
     def test_dht_words_have_zero_upper_half(self):
         rng = np.random.default_rng(52)
         raws = [int(x) for x in rng.integers(-32768, 32768, size=64)]
-        for w in pack_output(raws, TransformSelect.DHT):
+        for w in pack_output(_fixed_result("dht", raws)):
             assert w >> 16 == 0
-
-    def test_select_must_agree_with_result(self, plan16):
-        result = execute(plan16, np.array(RAMP2_RAWS) / 128.0, TransformSelect.DFT, FixedConfig())
-        with pytest.raises(ValueError, match="disagrees"):
-            pack_output(result, TransformSelect.DHT)
-        assert pack_output(result, "DFT") == pack_output(result) == DFT_WORDS
 
     def test_exact_mode_result_rejected(self, plan16):
         exact = execute(plan16, [0.0] * 16, TransformSelect.DFT, "exact")
         with pytest.raises(ValueError):
             pack_output(exact)
+
+    # raw integers are no result: they carry no select to pick the layout
+    @pytest.mark.parametrize("raws", [[0] * 16, [(1, 2), (3, 4)], (), 5],
+                             ids=["dht-raws", "dft-pairs", "empty", "int"])
+    def test_plain_raws_refused(self, raws):
+        message = "^packing is defined only for fixed-mode results$"
+        with pytest.raises(ValueError, match=message):
+            pack_output(raws)
+        with pytest.raises(ValueError, match=message):
+            pack_output(raws, OverflowFlag())
 
     def test_numpy_words_unpack_to_ints(self):
         # as uint32 the upper half would not sign-extend; as uint16 a half
@@ -114,17 +120,17 @@ class TestPacking:
 
     @pytest.mark.parametrize("dtype", [np.int16, np.int32])
     def test_numpy_raws_pack_as_ints(self, dtype):
-        words = pack_output([(dtype(-1), dtype(2))], "dft")
+        words = pack_output(_fixed_result("dft", (dtype(-1),), (dtype(2),)))
         assert words == (0xFFFF0002,) and type(words[0]) is int
 
-    @pytest.mark.parametrize("spectrum, select, message", [
-        ([0, 1.5], "dht", "raw 1 must be an integer, got 1.5"),
-        ([(0, 0), (1.5, 0)], "dft", "real raw 1 must be an integer, got 1.5"),
-        ([(0, 0), (0, "1")], "dft", "imaginary raw 1 must be an integer, got '1'")],
+    @pytest.mark.parametrize("result, message", [
+        (_fixed_result("dht", (0, 1.5)), "raw 1 must be an integer, got 1.5"),
+        (_fixed_result("dft", (0, 1.5), (0, 0)), "real raw 1 must be an integer, got 1.5"),
+        (_fixed_result("dft", (0, 0), (0, "1")), "imaginary raw 1 must be an integer, got '1'")],
         ids=["dht", "dft-real", "dft-imaginary"])
-    def test_non_integer_raw_named(self, spectrum, select, message):
+    def test_non_integer_raw_named(self, result, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-            pack_output(spectrum, select)
+            pack_output(result)
 
     # a DFT result's raws were zipped loosely and packed unchecked: two real
     # raws and one imaginary packed one word, a missing imag_raw or a float
@@ -144,6 +150,8 @@ class TestPacking:
         FixedConfig(QFormat(16, 15), acc_total_bits=17)],
         ids=["default", "truncate-acc18", "q0.15-acc17"])
     def test_result_packs_as_its_raws(self, cfg):
+        # against the layout alone: each raw clamped to 16 bits, then
+        # ((re & 0xFFFF) << 16) | (im & 0xFFFF), or re & 0xFFFF for DHT
         rng = np.random.default_rng(cfg.acc_total_bits)
         flagged = []
         for n in (4, 16, 64):
@@ -152,17 +160,15 @@ class TestPacking:
                 v = rng.integers(-peak, peak, size=n) / cfg.fmt.scale
                 for select in TransformSelect:
                     result = execute(plan, v, select, cfg)
-                    raws = (result.real_raw if select is TransformSelect.DHT
-                            else zip(result.real_raw, result.imag_raw))
-                    flags, raw_flags = OverflowFlag(), OverflowFlag()
-                    assert pack_output(result, flags=flags) == pack_output(raws, select, raw_flags)
-                    assert flags.overflow == raw_flags.overflow
+                    flags = OverflowFlag()
+                    assert (pack_output(result, flags=flags), flags.overflow) == \
+                        _pack_model(result)
                     flagged.append(flags.overflow)
         assert any(flagged) and not all(flagged)
 
     def test_oversized_raw_saturates_and_flags(self):
         flags = OverflowFlag()
-        words = pack_output([(40000, -40000)], TransformSelect.DFT, flags)
+        words = pack_output(_fixed_result("dft", (40000,), (-40000,)), flags=flags)
         assert words == ((32767 << 16) | (-32768 & 0xFFFF),)
         assert flags.overflow
 
@@ -208,7 +214,7 @@ class TestRunDevice:
         for sel in (TransformSelect.DFT, TransformSelect.DHT):
             done = run_device(MemoryImage(raws, sel), plan16)
             result = execute(plan16, np.array(raws) / 128.0, sel, FixedConfig())
-            assert done.output_words == pack_output(result, sel)
+            assert done.output_words == pack_output(result)
 
     def test_zero_words(self, plan16):
         for sel in (TransformSelect.DFT, TransformSelect.DHT):
@@ -336,6 +342,42 @@ class TestStimulusFiles:
         path.write_bytes(data)
         with pytest.raises(StimulusFormatError, match=f"stim.txt:{where}"):
             load_stimulus(path)
+
+    # a line ends at LF alone: splitlines also broke lines at VT, FF and FS
+    # to RS, and strip took FS to US for blanks, so each of these loaded
+    # (the first as 16 words on 15 lines) or was named a line too late
+    @pytest.mark.parametrize("data, where", [
+        (b"SELECT DFT\n" + b"\n".join([b"0000", b"0001", b"0002\x0c0003"] +
+                                       [b"%04X" % i for i in range(4, 16)]) + b"\n",
+         "4: malformed hex word '0002\\x0c0003' (expected 1 to 4 hex digits)"),
+        (b"SELECT DFT\n0001\x0cZZ\n",
+         "2: malformed hex word '0001\\x0cZZ' (expected 1 to 4 hex digits)"),
+        (b"SELECT DHT\n\x1c0001\x1d\n",
+         "2: malformed hex word '\\x1c0001\\x1d' (expected 1 to 4 hex digits)"),
+        (b"SELECT\x0bDFT\n0001\n",
+         "1: expected 'SELECT DFT' or 'SELECT DHT', got 'SELECT\\x0bDFT'"),
+        (b"SELECT DFT\n0001\x0c0002\n\xff\n", "3: non-ASCII byte 0xff")],
+        ids=["ff-16-words-on-15-lines", "ff-bad-word", "fs-around-word", "vt-header",
+             "non-ascii-after-ff"])
+    def test_only_lf_ends_a_line(self, tmp_path, data, where):
+        path = tmp_path / "stim.txt"
+        path.write_bytes(data)
+        with pytest.raises(StimulusFormatError) as exc:
+            load_stimulus(path)
+        assert str(exc.value) == f"{path}:{where}"
+
+    def test_output_word_file_only_lf_ends_a_line(self, tmp_path):
+        path = tmp_path / "words.hex"
+        path.write_bytes(b"00000000\n\x1c0001\x1d\nFFFFFFFF\n")
+        with pytest.raises(StimulusFormatError) as exc:
+            read_output_words(path)
+        assert str(exc.value) == \
+            f"{path}:2: malformed hex word '\\x1c0001\\x1d' (expected 1 to 8 hex digits)"
+
+    def test_crlf_spaces_and_tabs_are_blank(self, tmp_path):
+        path = tmp_path / "stim.txt"
+        path.write_bytes(b"\r\n \tselect\tdft \r\n0001\r\n \t0002\t \r\n\r\n\n")
+        assert load_stimulus(path) == MemoryImage((1, 2), TransformSelect.DFT)
 
     def test_output_word_file_non_ascii_byte_names_line(self, tmp_path):
         path = tmp_path / "words.hex"
@@ -483,7 +525,7 @@ class TestSelectSpellings:
 
         raws = want.real_raw if sel is TransformSelect.DHT else \
             tuple(zip(want.real_raw, want.imag_raw))
-        words = pack_output(raws, spelling)
+        words = pack_output(got)
         assert words == pack_output(want)
         assert unpack_output(words, spelling) == raws
 

@@ -34,7 +34,7 @@ from laurentfft import (
     write_stimulus,
 )
 
-from fixed_oracle import _check, _round_model, _saturate_model
+from fixed_oracle import _check, _fixed_result, _pack_model, _round_model
 
 MODES = st.sampled_from([ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
 FORMATS = st.integers(2, 32).flatmap(
@@ -167,38 +167,47 @@ class TestExactLinearity:
 
 
 class TestPackingRoundTrip:
-    """Each round trip from Python ints, then again from the same raws and
-    words as numpy integers: the same answer, in plain ints."""
+    """Each round trip from a fixed-mode result of Python ints, then again
+    from the same raws and words as numpy integers: the same answer, in
+    plain ints."""
 
     @given(st.lists(st.tuples(INT16, INT16), max_size=64), st.data())
     def test_dft_words(self, pairs, data):
-        words = pack_output(pairs, TransformSelect.DFT)
+        re_raw, im_raw = [re for re, _ in pairs], [im for _, im in pairs]
+        words = pack_output(_fixed_result("dft", re_raw, im_raw))
         assert all(0 <= w < 1 << 32 for w in words)
         assert unpack_output(words, TransformSelect.DFT) == tuple(pairs)
-        np_words = pack_output(data.draw(np_ints(pairs)), TransformSelect.DFT)
+        np_result = _fixed_result("dft", data.draw(np_ints(re_raw)), data.draw(np_ints(im_raw)))
+        np_words = pack_output(np_result)
         assert np_words == words and _ints(np_words)
         raws = unpack_output(data.draw(np_ints(list(words))), TransformSelect.DFT)
         assert raws == tuple(pairs) and _ints(raws)
 
     @given(st.lists(INT16, max_size=64), st.data())
     def test_dht_words(self, raws, data):
-        words = pack_output(raws, TransformSelect.DHT)
+        words = pack_output(_fixed_result("dht", raws))
         assert all(0 <= w < 1 << 16 for w in words)
         assert unpack_output(words, TransformSelect.DHT) == tuple(raws)
-        np_words = pack_output(data.draw(np_ints(raws)), TransformSelect.DHT)
+        np_words = pack_output(_fixed_result("dht", data.draw(np_ints(raws))))
         assert np_words == words and _ints(np_words)
         np_raws = unpack_output(data.draw(np_ints(list(words))), TransformSelect.DHT)
         assert np_raws == tuple(raws) and _ints(np_raws)
 
-    @given(st.lists(st.integers(-(1 << 40), 1 << 40), max_size=64), st.data())
-    def test_oversized_raws_saturate(self, raws, data):
+    @given(st.sampled_from(list(TransformSelect)),
+           st.lists(st.tuples(st.integers(-(1 << 40), 1 << 40), st.integers(-(1 << 40), 1 << 40)),
+                    max_size=64), st.data())
+    def test_oversized_raws_saturate(self, select, pairs, data):
+        re_raw, im_raw = [re for re, _ in pairs], [im for _, im in pairs]
+        if select is TransformSelect.DHT:
+            im_raw = None
+        result = _fixed_result(select, re_raw, im_raw)
         flags = OverflowFlag()
-        words = pack_output(raws, TransformSelect.DHT, flags)
-        clamped = [_saturate_model(r, QFormat(16, 7)) for r in raws]
-        assert unpack_output(words, TransformSelect.DHT) == tuple(c for c, _ in clamped)
-        assert flags.overflow == any(s for _, s in clamped)
+        words = pack_output(result, flags=flags)
+        assert (words, flags.overflow) == _pack_model(result)
         np_flags = OverflowFlag()
-        np_words = pack_output(data.draw(np_ints(raws)), TransformSelect.DHT, np_flags)
+        np_result = _fixed_result(select, data.draw(np_ints(re_raw)),
+                                  None if im_raw is None else data.draw(np_ints(im_raw)))
+        np_words = pack_output(np_result, flags=np_flags)
         assert np_words == words and _ints(np_words) and np_flags.overflow == flags.overflow
 
 
