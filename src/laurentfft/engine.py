@@ -19,13 +19,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fixed import (
-    Fixed,
     OverflowFlag,
     QFormat,
     ROUND_HALF_AWAY,
     ROUNDING_MODES,
     _admit,
-    _tuple_new,
     fx_add,
     fx_mul,
     fx_sub,
@@ -81,13 +79,17 @@ class TransformResult:
     """Transform output.  values holds complex bins for DFT, real bins for
     DHT.  In fixed mode the Q-format integer raws are kept alongside
     (real_raw/imag_raw for DFT, real_raw for DHT) and overflow reports the
-    sticky saturation flag."""
+    sticky saturation flag.  select is converted by TransformSelect, as in
+    MemoryImage, so a result built by hand may name it in any case."""
 
     select: TransformSelect
     values: np.ndarray
     real_raw: tuple[int, ...] | None = None
     imag_raw: tuple[int, ...] | None = None
     overflow: bool = False
+
+    def __post_init__(self):
+        object.__setattr__(self, "select", TransformSelect(self.select))
 
 
 def _check_input(order: int, samples) -> np.ndarray:
@@ -106,14 +108,13 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
                    cfg: FixedConfig) -> TransformResult:
     tape = plan.tape
     flags = OverflowFlag()
-    # built as fixed.py builds its results; the one acc_fmt object keeps
+    # the walk carries plain (raw, fmt) pairs; the one acc_fmt object keeps
     # fx_add's format check on its identity test
     acc_fmt = cfg.acc_fmt
-    x = [_tuple_new(Fixed, (quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt))
-         for s in v]
+    x = [(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v]
     # Constants are quantized once per run, like a hardware coefficient ROM.
     rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]
-    zero = _tuple_new(Fixed, (0, acc_fmt))
+    zero = (0, acc_fmt)
 
     def sum_rows(table, vals):
         # Bound per call, not at import, so a wrapper on engine.fx_add or

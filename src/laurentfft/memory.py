@@ -82,12 +82,14 @@ def _half_word(raw: int, flags: OverflowFlag | None) -> int:
     return raw & _WORD16
 
 
-def pack_output(result: TransformResult, flags: OverflowFlag | None = None) -> tuple[int, ...]:
+def pack_output(result: TransformResult, *,
+                flags: OverflowFlag | None = None) -> tuple[int, ...]:
     """Pack a fixed-mode result into 32-bit output words, in the layout of
     result.select; anything else, an exact-mode result included, raises
     ValueError.  The raws pass fixed._admit_each unbounded, as a result may be
     built by hand, DFT columns pair by one strict zip, and a raw beyond 16
-    bits saturates, marking the flags context when one is supplied."""
+    bits saturates, marking the flags context when one is supplied.  flags
+    is keyword-only, so pack_output(result, "dft") is a TypeError."""
     if not isinstance(result, TransformResult) or result.real_raw is None or (
             result.imag_raw is None and result.select is TransformSelect.DFT):
         raise ValueError("packing is defined only for fixed-mode results")

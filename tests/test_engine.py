@@ -338,6 +338,21 @@ class TestFixedMode:
         out = execute(plan, [15.0] * 16, TransformSelect.DFT, cramped)
         assert out.overflow
 
+    # The samples and the ROM constants are quantized to the word, where each
+    # may saturate on its own: no add or multiply of the walk does below.
+    @pytest.mark.parametrize("n, samples, cfg", [
+        (16, [300.0] + [0.0] * 15, FixedConfig()),
+        # cos(2 pi / 32) * 8 rounds to 8, above Q0.3's max_raw 7
+        (32, [0.0] * 32, FixedConfig(QFormat(4, 3), acc_total_bits=8))],
+        ids=["sample", "rom-constant"])
+    def test_quantize_flags_reach_the_result(self, n, samples, cfg):
+        plan = build_plan(n)
+        for select in TransformSelect:
+            out = execute(plan, samples, select, cfg)
+            assert out.overflow
+            assert (out.real_raw, out.imag_raw, out.overflow) == \
+                _oracle_fixed(plan, samples, select, cfg)
+
     def test_deterministic_across_threads(self, plan16):
         v = np.linspace(-3, 3, 16)
 

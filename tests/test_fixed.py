@@ -406,3 +406,41 @@ class TestResultConstruction:
         r = widen(Fixed(raw, Q16_7), 32)
         self.check(r)
         assert r.fmt == Q32_7 and r.raw == raw
+
+
+def _edge_raws(fmt):
+    return (0, 1, -1, fmt.min_raw, fmt.max_raw)
+
+
+class TestPlainPairs:
+    """The fixed executor walks plain (raw, fmt) tuples through the same ops.
+    A plain first operand gives the exact tuple (raw, fmt) that a Fixed one
+    gives as a Fixed, with the same flag, at every edge raw of the word."""
+
+    @staticmethod
+    def check(op, a, b, *args):
+        fixed_flags, plain_flags = OverflowFlag(), OverflowFlag()
+        want = op(a, b, *args, fixed_flags)
+        assert type(want) is Fixed and type(want.raw) is int
+        # the second operand as a plain pair and as a Fixed, the walk's ROM constant
+        for b_kind in (tuple, lambda x: x):
+            got = op(tuple(a), b_kind(b), *args, plain_flags)
+            assert type(got) is tuple and type(got[0]) is int
+            assert got == (want.raw, want.fmt) and got[1] is want.fmt
+        assert plain_flags.overflow == fixed_flags.overflow
+        return fixed_flags.overflow
+
+    @pytest.mark.parametrize("op", [fx_add, fx_sub])
+    @pytest.mark.parametrize("fmt", [Q16_7, Q32_7], ids=str)
+    def test_add_sub(self, op, fmt):
+        saturated = [self.check(op, Fixed(a, fmt), Fixed(b, fmt))
+                     for a in _edge_raws(fmt) for b in _edge_raws(fmt)]
+        assert any(saturated) and not all(saturated)
+
+    @pytest.mark.parametrize("rounding", [ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
+    @pytest.mark.parametrize("a_fmt, b_fmt", [(Q16_7, Q16_7), (Q32_7, Q32_7), (Q32_7, Q16_7),
+                                              (Q16_7, Q32_7)], ids=["16", "32", "32x16", "16x32"])
+    def test_mul(self, rounding, a_fmt, b_fmt):
+        saturated = [self.check(fx_mul, Fixed(a, a_fmt), Fixed(b, b_fmt), rounding)
+                     for a in _edge_raws(a_fmt) for b in _edge_raws(b_fmt)]
+        assert any(saturated) and not all(saturated)

@@ -110,7 +110,23 @@ class TestPacking:
         with pytest.raises(ValueError, match=message):
             pack_output(raws)
         with pytest.raises(ValueError, match=message):
-            pack_output(raws, OverflowFlag())
+            pack_output(raws, flags=OverflowFlag())
+
+    # the removed (raws, select) form must not pack a result with "dft" as flags
+    def test_flags_are_keyword_only(self):
+        result = _fixed_result("dft", (40000,), (0,))
+        with pytest.raises(TypeError):
+            pack_output(result, "dft")
+        with pytest.raises(TypeError):
+            pack_output(result, OverflowFlag())
+
+    def test_hand_built_result_select_by_name(self):
+        result = TransformResult("dht", np.zeros(1), (5,))
+        assert result.select is TransformSelect.DHT
+        assert pack_output(result) == (5,)
+        assert TransformResult("DFT", np.zeros(1), (1,), (2,)).select is TransformSelect.DFT
+        with pytest.raises(ValueError):
+            TransformResult("fft", np.zeros(1))
 
     def test_numpy_words_unpack_to_ints(self):
         # as uint32 the upper half would not sign-extend; as uint16 a half
