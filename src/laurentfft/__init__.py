@@ -51,7 +51,7 @@ from .plan import (
     format_plan,
     reconstruct,
 )
-from .reference import dft_direct, dft_matrix, dht_direct, dht_from_dft
+from .reference import dft_direct, dft_matrix, dht_direct
 
 __version__ = "0.1.0"
 
@@ -68,5 +68,5 @@ __all__ = [
     "PlanConstructionError", "Stream", "UnsupportedLengthError",
     "build_M", "build_plan", "chi", "congruence_class", "count_ops", "echelon_factor",
     "exponent_matrix", "format_plan", "reconstruct",
-    "dft_direct", "dft_matrix", "dht_direct", "dht_from_dft",
+    "dft_direct", "dft_matrix", "dht_direct",
 ]

@@ -74,7 +74,7 @@ def _fixed_config(cfg) -> FixedConfig:
     return DEFAULT_CONFIG if cfg is None else cfg
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransformResult:
     """Transform output.  values holds complex bins for DFT, real bins for
     DHT.  In fixed mode the Q-format integer raws are kept alongside

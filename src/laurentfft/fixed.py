@@ -136,11 +136,6 @@ class Fixed(_FixedFields):
     def value(self) -> float:
         return self.raw / self.fmt.scale
 
-    def hex(self) -> str:
-        """Raw as zero-padded two's-complement hex (4 digits for 16-bit)."""
-        nibbles = (self.fmt.total_bits + 3) // 4
-        return format(self.raw & ((1 << self.fmt.total_bits) - 1), f"0{nibbles}X")
-
 
 def _div_round(num: int, den: int, rounding: str) -> int:
     """Round num/den to an integer.  den > 0."""

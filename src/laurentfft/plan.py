@@ -163,10 +163,10 @@ class FactoredTernary:
 
     Each factor is stored once, as its RowTable, with T's width.  combiner
     and reduced_rows are read-only int8 matrices built from the tables on
-    each read; product() returns T as int64.  rank, the inner dimension, is
-    the number of groups of T's columns equal up to sign.  optimal, True when
-    the combiner columns are independent (so rank is T's rational rank), is
-    computed on first read and cached.
+    each read.  rank, the inner dimension, is the number of groups of T's
+    columns equal up to sign.  optimal, True when the combiner columns are
+    independent (so rank is T's rational rank), is computed on first read
+    and cached.
     """
 
     reduced_table: RowTable
@@ -188,10 +188,6 @@ class FactoredTernary:
     @functools.cached_property
     def optimal(self) -> bool:
         return _independent_columns(self.combiner)
-
-    def product(self) -> np.ndarray:
-        # in doubles, exact on these small integers, as numpy's int matmul has no BLAS
-        return (self.combiner @ self.reduced_rows.astype(np.float64)).astype(np.int64)
 
 
 def _independent_columns(mat: np.ndarray) -> bool:

@@ -5,7 +5,6 @@ in double precision, valid for any length N >= 1.
 
     V[k] = sum_n v[n] * exp(-2j*pi*k*n/N)          (DFT)
     H[k] = sum_n v[n] * (cos(2*pi*k*n/N) + sin(2*pi*k*n/N))   (DHT)
-    H[k] = Re(V[k]) - Im(V[k])
 """
 
 from __future__ import annotations
@@ -60,9 +59,3 @@ def dht_direct(samples) -> np.ndarray:
     idx = np.arange(v.size)
     arg = 2 * np.pi * np.outer(idx, idx) / v.size
     return (np.cos(arg) + np.sin(arg)) @ v
-
-
-def dht_from_dft(spectrum) -> np.ndarray:
-    """Hartley bins from Fourier bins: H[k] = Re(V[k]) - Im(V[k])."""
-    bins = np.asarray(spectrum, dtype=np.complex128)
-    return bins.real - bins.imag

@@ -23,7 +23,19 @@ def _rank_gauss(mat) -> int:
     return rank
 
 
+def _factor_product(f) -> np.ndarray:
+    """T = f.combiner @ f.reduced_rows as int64.  The matmul runs in doubles,
+    exact on these small integers, as numpy's integer matmul has no BLAS path."""
+    return (f.combiner @ f.reduced_rows.astype(np.float64)).astype(np.int64)
+
+
 @pytest.fixture(scope="session")
 def rank_gauss():
     """The rank oracle, for tests that check factor ranks."""
     return _rank_gauss
+
+
+@pytest.fixture(scope="session")
+def factor_product():
+    """The matrix T a FactoredTernary factors, for tests that compare it."""
+    return _factor_product

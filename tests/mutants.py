@@ -7,10 +7,11 @@ repository root:
 
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
-`pytest -x -q tests/test_engine.py tests/test_fixed.py tests/test_exhaustive.py`
-on the copy.  The unmutated copy must pass first.  The exit status is nonzero
-if it does not, if an old text does not occur exactly once, or if a mutant
-survives (its tests pass).  Only the standard library is used.
+`pytest -x -q tests/test_fixed.py tests/test_exhaustive.py tests/test_engine.py`
+on the copy, fastest file first.  The unmutated copy must pass first.  The
+exit status is nonzero if it does not, if an old text does not occur exactly
+once, or if a mutant survives (its tests pass).  Only the standard library is
+used.
 """
 
 import os
@@ -50,9 +51,37 @@ MUTANTS = [
      "        return _div_round(raw * b_raw, fmt.scale, rounding), fmt\n"
      "    raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)\n",
      "fx_mul on a plain pair neither saturates nor flags"),
+    (FIXED,
+     "q = (abs(num) * 2 + den) // (den * 2)",
+     "q = (abs(num) * 2 + den - 1) // (den * 2)",
+     "half-away rounds ties toward zero"),
+    (FIXED,
+     "(2 * r == den and q % 2 == 1)",
+     "(2 * r == den and q % 2 == 0)",
+     "half-even rounds ties to odd"),
+    (FIXED,
+     "if raw > fmt.max_raw:",
+     "if raw >= fmt.max_raw:",
+     "a result of exactly max_raw sets the flag"),
+    (FIXED,
+     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)",
+     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, ROUND_HALF_AWAY), fmt, flags)",
+     "fx_mul ignores its rounding argument"),
+    (FIXED,
+     "raw = _div_round(num * fmt.scale, den, rounding)",
+     "raw = _div_round(num * fmt.scale, den, ROUND_HALF_AWAY)",
+     "quantize ignores its rounding argument"),
+    (ENGINE,
+     "rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]",
+     "rom = [quantize(c, cfg.fmt, ROUND_HALF_AWAY, flags) for c in tape.constants]",
+     "the ROM is always quantized half-away"),
+    (ENGINE,
+     "(y[i:i + n] for i in range(0, len(y), n))",
+     "(y[i:i + n] if i != n else [(-r, f) for r, f in y[i:i + n]] for i in range(0, len(y), n))",
+     "the fixed merge negates stream 1, M_0's imaginary part, the first into im"),
 ]
 
-TESTS = ["tests/test_engine.py", "tests/test_fixed.py", "tests/test_exhaustive.py"]
+TESTS = ["tests/test_fixed.py", "tests/test_exhaustive.py", "tests/test_engine.py"]
 
 
 def _tests_pass(tree: Path) -> bool:

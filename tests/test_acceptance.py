@@ -85,9 +85,9 @@ def test_criterion_3_quantization_error(plan16):
                    f"dominant bins {rep.dominant_bins}")
 
 
-def test_criterion_4_multiplication_count(plan16, rank_gauss):
+def test_criterion_4_multiplication_count(plan16, rank_gauss, factor_product):
     ops = count_ops(plan16)
-    ranks_ok = all(s.factor.rank == rank_gauss(s.factor.product())
+    ranks_ok = all(s.factor.rank == rank_gauss(factor_product(s.factor))
                    for s in plan16.streams if s.value is not None)
     ok = ops.multiplications == 12 and ranks_ok
     _report(4, ok, f"{ops.multiplications} scalar multiplications at N=16, "

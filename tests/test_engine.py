@@ -327,6 +327,18 @@ class TestFixedMode:
                     overflows.append(out.overflow)
         assert any(overflows) and not all(overflows)
 
+    def test_products_never_outgrow_their_input(self, exact_plans):
+        # every ROM constant lies in (0, 1) and quantizes to a raw in [0, 2**f],
+        # so |round(a * c)| <= |a| and fx_mul's clamp cannot fire inside execute
+        for n, plan in exact_plans.items():
+            constants = plan.tape.constants
+            assert all(0 < c < 1 for c in constants), n
+            for f in range(1, 16):
+                fmt = QFormat(16, f)
+                for rounding in ("half-away", "half-even", "truncate"):
+                    raws = [quantize(c, fmt, rounding).raw for c in constants]
+                    assert all(0 <= r <= 2**f for r in raws), (n, f, rounding)
+
     def test_arith_must_be_a_config(self, plan16):
         # the string "fixed" names no word format, rounding or accumulator
         with pytest.raises(ValueError, match="arith must be 'exact' or a FixedConfig"):
@@ -389,6 +401,18 @@ class TestFixedConfig:
         assert cfg == FixedConfig(acc_total_bits=18)
         assert hash(cfg) == hash(FixedConfig(acc_total_bits=18))
         assert FixedConfig(acc_total_bits=np.int64(18)) == cfg
+
+
+class TestTransformResult:
+    # a generated __eq__ and __hash__ read the values array: r1 == r2 and
+    # r1 in [r2] raised "truth value of an array ... is ambiguous", hash a TypeError
+    @pytest.mark.parametrize("arith", ["exact", FixedConfig()], ids=["exact", "fixed"])
+    def test_compares_and_hashes_by_identity(self, arith):
+        plan = build_plan(4)
+        r1, r2 = (execute(plan, [1.0, 2.0, 3.0, 4.0], "dft", arith) for _ in range(2))
+        assert r1 == r1 and r1 != r2
+        assert r1 in [r2, r1] and r1 not in [r2]
+        assert len({r1, r2, r1}) == 2
 
 
 class TestCountOps:

@@ -208,7 +208,7 @@ class TestFixedValue:
 
     def test_million_is_no_q8_7_raw(self):
         # kept, it read .value 7812.5 in a word that holds at most 255.99,
-        # and .hex() printed 4240, the bits of another word
+        # and masked to 16 bits it was 0x4240, the bits of another word
         with pytest.raises(ValueError, match=r"^Fixed raw .*, got 1000000$"):
             Fixed(10**6, Q16_7)
 
@@ -301,6 +301,16 @@ class TestMul:
         assert fx_mul(Fixed(64, Q16_7), Fixed(1, Q16_7)).raw == 1
         assert fx_mul(Fixed(-64, Q16_7), Fixed(1, Q16_7)).raw == -1
 
+    # the dense oracle multiplies with fx_mul too, so only this model sees
+    # fx_mul's rounding: products of both signs, at ties and between them
+    @pytest.mark.parametrize("rounding", [ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
+    def test_rounding_against_fraction_model(self, rounding):
+        for a in range(-320, 321, 4):
+            for b in (-3, 1, 2):
+                flags = OverflowFlag()
+                _check(fx_mul(Fixed(a, Q16_7), Fixed(b, Q16_7), rounding, flags), flags, Q16_7,
+                       _round_model(Fraction(a * b, Q16_7.scale), rounding))
+
 
 class TestDifferentialAgainstUnboundedInts:
     def test_no_overflow_means_exact(self):
@@ -344,16 +354,6 @@ class TestDeterminism:
         with ThreadPoolExecutor(max_workers=8) as pool:
             results = list(pool.map(work, range(32)))
         assert len(set(results)) == 1
-
-
-class TestHexRendering:
-    def test_sixteen_bit(self):
-        assert Fixed(-1024, Q16_7).hex() == "FC00"
-        assert Fixed(2480, Q16_7).hex() == "09B0"
-        assert Fixed(0, Q16_7).hex() == "0000"
-
-    def test_thirty_two_bit(self):
-        assert Fixed(-3504, QFormat(32, 7)).hex() == "FFFFF250"
 
 
 class TestWiden:
