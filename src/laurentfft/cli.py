@@ -7,8 +7,9 @@
 Sample files hold one decimal value per line, or comma-separated values;
 blank lines are ignored.  Every input is checked before the plan is built:
 samples by execute's check and the Q-format range, a stimulus by
-load_stimulus, the options by the FixedConfig they build.  Every failure
-exits 1 with one "error: ..." line.
+load_stimulus, the options by the FixedConfig they build.  An argument
+that argparse refuses exits 2 with argparse's usage and message; every
+other failure exits 1 with one "error: ..." line.
 """
 
 from __future__ import annotations
@@ -27,12 +28,8 @@ from .reference import dft_direct, dht_direct
 
 
 def _read_samples(path) -> list[float]:
-    try:
-        lines = _read_ascii_lines(path)
-    except OSError as exc:
-        raise ValueError(f"cannot read input file: {exc}") from None
     values = []
-    for lineno, line in enumerate(lines, start=1):
+    for lineno, line in enumerate(_read_ascii_lines(path), start=1):
         for token in line.replace(",", " ").split():
             try:
                 values.append(float(token))
@@ -63,10 +60,9 @@ def _saturates(x: float, cfg: FixedConfig) -> bool:
 
 
 def _cmd_transform(args) -> int:
-    if args.n is not None:
-        _require_mod4(args.n)  # a bad --n is named before the sample count is held against it
     samples = _read_samples(args.input)
-    n = args.n if args.n is not None else len(samples)
+    # the block length is named before the sample count is held against it
+    n = _require_mod4(len(samples) if args.n is None else args.n)
     _check_input(n, samples)  # names a wrong count or a non-finite sample
     arith = "exact"
     if args.arith == "fixed":

@@ -29,7 +29,7 @@ from .fixed import (
     fx_sub,
     quantize,
 )
-from .plan import LaurentPlan, OpCount, _merge_streams, count_ops  # noqa
+from .plan import LaurentPlan, _merge_streams, count_ops  # noqa
 from .reference import _as_signal
 
 FLOOR_FRAC = 0.25  # of the peak; see QuantizationReport

@@ -43,20 +43,15 @@ def _admit(value, what: str, lo: int | None = None, hi: int | None = None) -> in
     return i
 
 
-def _as_tuple(values, what: str) -> tuple:
-    """values as a tuple; ValueError names what (plural) if they are not iterable."""
-    try:
-        return tuple(values)
-    except TypeError:
-        raise ValueError(f"{what}s must be iterable, got {values!r}") from None
-
-
 def _admit_each(values, what: str, lo: int | None = None,
                 hi: int | None = None) -> tuple[int, ...]:
-    """values as a tuple of _admit's ints, refused by _as_tuple if not iterable.
-    All are converted and bounded at once; only a failure walks them again,
-    to name the first bad one "what i"."""
-    values = _as_tuple(values, what)
+    """values as a tuple of _admit's ints; ValueError names what (plural) if
+    they are not iterable.  All are converted and bounded at once; only a
+    failure walks them again, to name the first bad one "what i"."""
+    try:
+        values = tuple(values)
+    except TypeError:
+        raise ValueError(f"{what}s must be iterable, got {values!r}") from None
     try:
         ints = tuple(map(operator.index, values))
         if lo is None or not ints or lo <= min(ints) and (hi is None or max(ints) <= hi):

@@ -1,4 +1,5 @@
-"""Mutants of the fixed executor and its scalar ops that the fast tests must kill.
+"""Mutants of the fixed executor, its scalar ops, the output packing and the op
+count that the fast tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -7,8 +8,8 @@ repository root:
 
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
-`pytest -x -q tests/test_fixed.py tests/test_exhaustive.py tests/test_engine.py`
-on the copy, fastest file first.  The unmutated copy must pass first.  The
+`pytest -x -q` on TESTS (the op, memory, exhaustive and engine tests) in the
+copy, fastest file first.  The unmutated copy must pass first.  The
 exit status is nonzero if it does not, if an old text does not occur exactly
 once, or if a mutant survives (its tests pass).  Only the standard library is
 used.
@@ -23,6 +24,7 @@ import time
 from pathlib import Path
 
 ENGINE, FIXED = "src/laurentfft/engine.py", "src/laurentfft/fixed.py"
+MEMORY, PLAN = "src/laurentfft/memory.py", "src/laurentfft/plan.py"
 
 MUTANTS = [
     (ENGINE,
@@ -79,9 +81,26 @@ MUTANTS = [
      "(y[i:i + n] for i in range(0, len(y), n))",
      "(y[i:i + n] if i != n else [(-r, f) for r, f in y[i:i + n]] for i in range(0, len(y), n))",
      "the fixed merge negates stream 1, M_0's imaginary part, the first into im"),
+    (FIXED,
+     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)",
+     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, None)",
+     "a product that saturates in fx_mul leaves the flag clear"),
+    (MEMORY,
+     "raw = _saturate(raw, _HALF_WORD, flags)",
+     "raw = _saturate(raw, _HALF_WORD, None)",
+     "a half that saturates when packed leaves the flag clear"),
+    (MEMORY,
+     "((w & _WORD16) ^ 0x8000) - 0x8000)",
+     "(w & _WORD16))",
+     "unpack_output leaves the im half unsigned"),
+    (PLAN,
+     "np.maximum(r - 1, 0)",
+     "np.maximum(r, 0)",
+     "count_ops counts a row reached by t streams as t merge adds"),
 ]
 
-TESTS = ["tests/test_fixed.py", "tests/test_exhaustive.py", "tests/test_engine.py"]
+TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_exhaustive.py",
+         "tests/test_engine.py"]
 
 
 def _tests_pass(tree: Path) -> bool:

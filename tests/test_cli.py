@@ -270,6 +270,21 @@ class TestTransform:
                                "--input", str(tmp_path / "nope.csv"))
         assert code == 1 and err.startswith("error:")
 
+    def test_missing_file_is_one_line_alike_in_both_commands(self, capsys, tmp_path):
+        missing = tmp_path / "nope.csv"
+        transform = run_cli(capsys, "transform", "--input", str(missing))
+        testbench = run_cli(capsys, "testbench", str(missing))
+        assert transform == testbench == (
+            1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
+
+    def test_sample_count_not_a_length_named_before_sample_range(self, capsys, tmp_path,
+                                                                 no_plan):
+        path = tmp_path / "six.csv"
+        path.write_text("0\n999\n0\n0\n0\n0\n")
+        code, out, err = run_cli(capsys, "transform", "--input", str(path))
+        assert (code, out, err) == (
+            1, "", "error: block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=6\n")
+
 
 class TestPlan:
     def test_order_16_counts(self, capsys):

@@ -65,356 +65,9 @@ def exact_plans():
     return {n: build_plan(n) for n in EXACT_ORDERS}
 
 
-class TestExactMode:
-    def test_table_dft(self, plan16):
-        out = execute(plan16, RAMP2, TransformSelect.DFT, "exact")
-        assert np.abs(out.values - np.array(EXACT_DFT)).max() < 1e-9
-        assert np.abs(out.values - dft_direct(RAMP2)).max() < 1e-9
-
-    def test_table_dht(self, plan16):
-        out = execute(plan16, RAMP2, TransformSelect.DHT, "exact")
-        assert np.abs(out.values - dht_direct(RAMP2)).max() < 1e-9
-
-    def test_oracle_equivalence_random(self, exact_plans):
-        rng = np.random.default_rng(41)
-        for n in EXACT_ORDERS:
-            for _ in range(10 if n <= 32 else 3):
-                v = rng.normal(size=n)
-                out = execute(exact_plans[n], v, TransformSelect.DFT, "exact")
-                assert np.abs(out.values - dft_direct(v)).max() < 1e-9, n
-
-    def test_stages_match_dense_factors(self, exact_plans, monkeypatch):
-        # on integer samples every input-stage sum is exact, so exact mode
-        # must hand the merge each stream's combiner rows applied to
-        # value * (reduced_rows @ v), each row summed from 0.0 in increasing
-        # column order, bit for bit: both stages against the dense factors
-        handed = []
-
-        def merge(plan, outputs, add, sub):
-            outputs = list(outputs)
-            handed[:] = [y.copy() for y in outputs]  # before a merge that may add in place
-            return merge_streams(plan, outputs, add, sub)
-
-        merge_streams = engine._merge_streams
-        monkeypatch.setattr(engine, "_merge_streams", merge)
-        rng = np.random.default_rng(44)
-        for n, plan in exact_plans.items():
-            v = rng.integers(-1000, 1001, size=n).astype(float)
-            execute(plan, v, TransformSelect.DFT, "exact")
-            for s, y in zip(plan.streams, handed, strict=True):
-                x = s.factor.reduced_rows @ v
-                if s.value is not None:
-                    x = s.value * x
-                want = np.zeros(n)
-                # a zero term adds +-0.0, which leaves a sum begun at 0.0 unchanged
-                for j, column in enumerate(s.factor.combiner.T):
-                    want = want + column * x[j]
-                assert y.tobytes() == want.tobytes(), (n, s.label, s.dest)
-
-    @pytest.mark.parametrize("select", ["dft", "dht"])
-    def test_float64_overflow_raises_without_warnings(self, plan16, select):
-        # finite samples whose transform overflows float64: one ValueError
-        # naming the largest |sample|, and no numpy floating-point warning
-        v = [1e308] * 16
-        v[5] = -1.7e308
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match=r"largest \|sample\| is sample 5 = -1\.7e\+308"):
-                execute(plan16, v, select, "exact")
-
-    def test_hartley_only_overflow_raises(self, plan16):
-        # Re and Im of a*e_1 stay finite, but Re - Im reaches a*sqrt(2)
-        v = np.zeros(16)
-        v[1] = 1.5e308
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            assert np.isfinite(execute(plan16, v, "dft", "exact").values).all()
-            with pytest.raises(ValueError, match=r"sample 1 = 1\.5e\+308"):
-                execute(plan16, v, "dht", "exact")
-
-    def test_hartley_is_re_minus_im(self, plan16):
-        rng = np.random.default_rng(42)
-        v = rng.normal(size=16)
-        dft = execute(plan16, v, TransformSelect.DFT, "exact")
-        dht = execute(plan16, v, TransformSelect.DHT, "exact")
-        assert np.array_equal(dht.values, dft.values.real - dft.values.imag)
-
-    def test_linearity(self, plan16):
-        rng = np.random.default_rng(43)
-        v = rng.normal(size=16)
-        a = 3.7
-        lhs = execute(plan16, a * v, TransformSelect.DFT, "exact").values
-        rhs = a * execute(plan16, v, TransformSelect.DFT, "exact").values
-        assert np.abs(lhs - rhs).max() < 1e-9
-
-    def test_zero_input(self, plan16):
-        out = execute(plan16, [0.0] * 16, TransformSelect.DFT, "exact")
-        assert not out.values.any()
-
-    def test_length_mismatch(self, plan16):
-        with pytest.raises(ValueError):
-            execute(plan16, [1.0] * 8, TransformSelect.DFT, "exact")
-
-    def test_wrong_count_is_one_message_in_both_modes(self, plan16):
-        for arith in ("exact", FixedConfig()):
-            for v, got in (([1.0] * 8, 8), (np.zeros(17), 17)):
-                with pytest.raises(ValueError, match=rf"^expected 16 samples, got {got}$"):
-                    execute(plan16, v, TransformSelect.DFT, arith)
-
-    def test_shape_named_in_both_modes(self, plan16):
-        for arith in ("exact", FixedConfig()):
-            for v, message in ((np.zeros((2, 8)), "signal must be one-dimensional"),
-                               ([], "signal must contain at least one sample")):
-                with pytest.raises(ValueError, match=rf"^{message}$"):
-                    execute(plan16, v, TransformSelect.DFT, arith)
-
-    def test_unreadable_samples_named_in_both_modes(self, plan16):
-        for arith in ("exact", FixedConfig()):
-            for v, message in (([0.0] * 5 + [object()] + [0.0] * 10,
-                                r"sample 5 \(object\) is not a number"),
-                               ([object()] * 16, r"sample 0 \(object\) is not a number"),
-                               ({1: 2}, "signal must be one-dimensional"),
-                               (["1.5"] + ["0"] * 15, r"sample 0 \(str\) is not a number"),
-                               (["abc"] * 16, r"sample 0 \(str\) is not a number"),
-                               ([1, "x"] + [0] * 14, r"sample 1 \(str\) is not a number"),
-                               (np.array([0.0] * 3 + [b"2"] + [0.0] * 12, dtype=object),
-                                r"sample 3 \(bytes\) is not a number")):
-                with pytest.raises(ValueError, match=rf"^{message}$"):
-                    execute(plan16, v, TransformSelect.DFT, arith)
-
-    def test_non_finite_sample_names_index(self, plan16):
-        for arith in ("exact", FixedConfig()):
-            # 2**1024 - 2**970 is the least int that float() cannot round
-            for bad in (float("inf"), float("-inf"), float("nan"), 10**400, -10**400,
-                        2**1024 - 2**970):
-                v = [0.0] * 16
-                v[5] = bad
-                with pytest.raises(ValueError, match="sample 5 "):
-                    execute(plan16, v, TransformSelect.DFT, arith)
-
-    def test_complex_samples_rejected(self, plan16):
-        for arith in ("exact", FixedConfig()):
-            for v in (np.ones(16) * (1 + 1j), [1 + 0j] * 16):
-                with pytest.raises(ValueError, match="samples must be real"):
-                    execute(plan16, v, TransformSelect.DFT, arith)
-
-    def test_string_select_accepted(self, plan16):
-        out = execute(plan16, RAMP2, "dht", "exact")
-        assert out.select is TransformSelect.DHT
-
-    def test_self_check_covers_exact_mode(self, exact_plans):
-        # build_plan's self-check runs reconstruct on the dense factors, and
-        # exact mode runs the tape.  On a basis vector every sum of either
-        # stage has at most one nonzero term, so exact mode must give each
-        # reconstruct column exactly; this ties it to the checked factors
-        for n, plan in exact_plans.items():
-            rec = reconstruct(plan)
-            for k, e_k in enumerate(np.eye(n)):
-                out = execute(plan, e_k, "dft", "exact")
-                assert np.array_equal(out.values, rec[:, k]), (n, k)
-
-
-class TestFixedMode:
-    def test_table_dft_bit_exact(self, plan16):
-        out = execute(plan16, RAMP2, TransformSelect.DFT, FixedConfig())
-        assert list(out.values) == FIXED_DFT
-        assert out.real_raw[2] == -1024
-        assert out.imag_raw[2] == 2480
-        assert out.imag_raw[6] == 432
-        assert not out.overflow
-        # zero bins are exactly zero, not merely small
-        for k in range(1, 16, 2):
-            assert out.real_raw[k] == 0 and out.imag_raw[k] == 0
-
-    def test_table_dht_bit_exact(self, plan16):
-        out = execute(plan16, RAMP2, TransformSelect.DHT, FixedConfig())
-        assert list(out.values) == FIXED_DHT
-        assert out.real_raw == (7168, 0, -3504, 0, -2048, 0, -1456, 0,
-                                -1024, 0, -592, 0, 0, 0, 1456, 0)
-        assert out.imag_raw is None
-
-    def test_hartley_matches_subtraction_bit_exact(self, plan16):
-        rng = np.random.default_rng(44)
-        v = rng.integers(-128, 128, size=16) / 16.0
-        dft = execute(plan16, v, TransformSelect.DFT, FixedConfig())
-        dht = execute(plan16, v, TransformSelect.DHT, FixedConfig())
-        assert dht.real_raw == tuple(r - i for r, i in zip(dft.real_raw, dft.imag_raw))
-
-    def test_zero_input_no_overflow(self, plan16):
-        for sel in (TransformSelect.DFT, TransformSelect.DHT):
-            out = execute(plan16, [0.0] * 16, sel, FixedConfig())
-            assert not any(out.real_raw)
-            assert not out.overflow
-
-    @pytest.mark.parametrize("select", list(TransformSelect))
-    @pytest.mark.parametrize("acc_bits", [32, 16], ids=["in-range", "saturating"])
-    def test_raws_are_ints(self, plan16, select, acc_bits):
-        out = execute(plan16, np.array(FULL_SCALE_RAWS) / 128, select,
-                      FixedConfig(acc_total_bits=acc_bits))
-        assert out.overflow == (acc_bits == 16)
-        raws = out.real_raw + (out.imag_raw or ())
-        assert len(raws) == 16 * (2 if select is TransformSelect.DFT else 1)
-        assert all(type(r) is int for r in raws)
-
-    def test_rounding_mode_changes_result(self, plan16):
-        away = execute(plan16, RAMP2, TransformSelect.DFT, FixedConfig())
-        trunc = execute(plan16, RAMP2, TransformSelect.DFT,
-                        FixedConfig(rounding="truncate"))
-        # truncation maps sqrt(2)/2 to 90/128, so bin 2 reads 19.25 instead
-        assert away.values[2].imag == 19.375
-        assert trunc.values[2].imag == 19.25
-
-    def test_saturating_accumulation_order_pinned(self, plan16):
-        cfg = FixedConfig(acc_total_bits=16)
-        v = np.array(FULL_SCALE_RAWS) / 128
-        dft = execute(plan16, v, TransformSelect.DFT, cfg)
-        assert dft.real_raw == (21827, -8029, -32768, 28934, 21307, 17554, 7947, 27186,
-                                21945, 27186, 7947, 17554, 21307, 28934, -32768, -8029)
-        assert dft.imag_raw == (0, 32767, 3509, -1216, -26489, 9471, -32768, -32768,
-                                0, 32767, 32767, -9472, 26489, 1215, -3509, -32768)
-        assert dft.overflow
-        dht = execute(plan16, v, TransformSelect.DHT, cfg)
-        assert dht.real_raw == (21827, -32768, -32768, 30150, 32767, 8083, 32767, 32767,
-                                21945, -5581, -24820, 27026, -5182, 27719, -29259, 24739)
-        assert dht.overflow
-
-    @pytest.mark.parametrize("rounding, acc_bits", [
-        ("half-away", 32), ("half-even", 18), ("truncate", 17), ("half-away", 16)])
-    def test_matches_dense_oracle(self, rounding, acc_bits):
-        # The executor walks each row's nonzero terms in column order; the
-        # oracle walks every entry.  Narrow accumulators saturate on the
-        # full-scale inputs, so a different term order shows in the raws.
-        cfg = FixedConfig(rounding=rounding, acc_total_bits=acc_bits)
-        rng = np.random.default_rng(acc_bits)
-        overflows = []
-        for n in range(4, 129, 4):
-            plan = build_plan(n)
-            small = rng.integers(-128, 128, size=n) / 128
-            full = rng.integers(-32768, 32768, size=n) / 128
-            for v in (small, full):
-                for select in TransformSelect:
-                    out = execute(plan, v, select, cfg)
-                    got = (out.real_raw, out.imag_raw, out.overflow)
-                    assert got == _oracle_fixed(plan, v, select, cfg), (n, select)
-                    overflows.append(out.overflow)
-        assert any(overflows) == (acc_bits < 32)
-
-    @pytest.mark.parametrize("n", [16, 64])
-    def test_values_are_the_raws_over_the_scale(self, n):
-        # each bin's Fixed.value, and a + 1j * b of the two for DFT: the
-        # float bytes, so a -0.0 where the values hold +0.0 fails too.  An
-        # odd signal has bins with Re = 0 and Im < 0, where 1j * Im is -0.0.
-        rng = np.random.default_rng(n)
-        odd = np.zeros(n)
-        odd[1:n // 2] = rng.integers(-128, 128, size=n // 2 - 1) / 4
-        odd[n // 2 + 1:] = -odd[n // 2 - 1:0:-1]
-        signals = [rng.integers(-32768, 32768, size=n) / 128, rng.integers(-128, 128, size=n) / 128,
-                   odd]
-        overflows = []
-        for cfg in (FixedConfig(acc_total_bits=16), FixedConfig(QFormat(16, 9), "truncate", 18),
-                    FixedConfig(QFormat(16, 5), "half-even", 18), FixedConfig()):
-            for v in signals:
-                for select in TransformSelect:
-                    out = execute(build_plan(n), v, select, cfg)
-                    re = [Fixed(a, cfg.acc_fmt) for a in out.real_raw]
-                    if select is TransformSelect.DFT:
-                        im = [Fixed(b, cfg.acc_fmt) for b in out.imag_raw]
-                        want = np.array([a.value + 1j * b.value for a, b in zip(re, im)])
-                    else:
-                        want = np.array([h.value for h in re])
-                    assert out.values.dtype == want.dtype
-                    assert out.values.tobytes() == want.tobytes(), (cfg, select)
-                    overflows.append(out.overflow)
-        assert any(overflows) and not all(overflows)
-
-    def test_products_never_outgrow_their_input(self, exact_plans):
-        # every ROM constant lies in (0, 1) and quantizes to a raw in [0, 2**f],
-        # so |round(a * c)| <= |a| and fx_mul's clamp cannot fire inside execute
-        for n, plan in exact_plans.items():
-            constants = plan.tape.constants
-            assert all(0 < c < 1 for c in constants), n
-            for f in range(1, 16):
-                fmt = QFormat(16, f)
-                for rounding in ("half-away", "half-even", "truncate"):
-                    raws = [quantize(c, fmt, rounding).raw for c in constants]
-                    assert all(0 <= r <= 2**f for r in raws), (n, f, rounding)
-
-    def test_arith_must_be_a_config(self, plan16):
-        # the string "fixed" names no word format, rounding or accumulator
-        with pytest.raises(ValueError, match="arith must be 'exact' or a FixedConfig"):
-            execute(plan16, RAMP2, TransformSelect.DFT, "fixed")
-
-    def test_overflow_flag_reported_not_raised(self):
-        plan = build_plan(16)
-        cramped = FixedConfig(fmt=QFormat(8, 3), acc_total_bits=9)
-        out = execute(plan, [15.0] * 16, TransformSelect.DFT, cramped)
-        assert out.overflow
-
-    # The samples and the ROM constants are quantized to the word, where each
-    # may saturate on its own: no add or multiply of the walk does below.
-    @pytest.mark.parametrize("n, samples, cfg", [
-        (16, [300.0] + [0.0] * 15, FixedConfig()),
-        # cos(2 pi / 32) * 8 rounds to 8, above Q0.3's max_raw 7
-        (32, [0.0] * 32, FixedConfig(QFormat(4, 3), acc_total_bits=8))],
-        ids=["sample", "rom-constant"])
-    def test_quantize_flags_reach_the_result(self, n, samples, cfg):
-        plan = build_plan(n)
-        for select in TransformSelect:
-            out = execute(plan, samples, select, cfg)
-            assert out.overflow
-            assert (out.real_raw, out.imag_raw, out.overflow) == \
-                _oracle_fixed(plan, samples, select, cfg)
-
-    def test_deterministic_across_threads(self, plan16):
-        v = np.linspace(-3, 3, 16)
-
-        def work(_):
-            out = execute(plan16, v, TransformSelect.DFT, FixedConfig())
-            return (out.real_raw, out.imag_raw)
-
-        with ThreadPoolExecutor(max_workers=8) as pool:
-            results = list(pool.map(work, range(24)))
-        assert len(set(results)) == 1
-
-
-class TestFixedConfig:
-    def test_unknown_rounding_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
-            FixedConfig(rounding="bogus")
-
-    @pytest.mark.parametrize("bits", [15, 33, 20.0])
-    def test_accumulator_width_rejected_at_construction(self, bits):
-        # narrower than the 16-bit word, wider than a QFormat can be, or
-        # not an integer
-        with pytest.raises(ValueError, match=rf"accumulator width .* got {bits}"):
-            FixedConfig(acc_total_bits=bits)
-
-    @pytest.mark.parametrize("fmt", [(16, 7), None])
-    def test_format_must_be_a_qformat(self, fmt):
-        with pytest.raises(ValueError, match=f"fmt must be a QFormat, got {re.escape(repr(fmt))}"):
-            FixedConfig(fmt=fmt)
-
-    def test_accumulator_format_built_once(self):
-        cfg = FixedConfig(acc_total_bits=18)
-        assert cfg.acc_fmt is cfg.acc_fmt
-        assert cfg.acc_fmt == QFormat(18, 7)
-        assert cfg == FixedConfig(acc_total_bits=18)
-        assert hash(cfg) == hash(FixedConfig(acc_total_bits=18))
-        assert FixedConfig(acc_total_bits=np.int64(18)) == cfg
-
-
-class TestTransformResult:
-    # a generated __eq__ and __hash__ read the values array: r1 == r2 and
-    # r1 in [r2] raised "truth value of an array ... is ambiguous", hash a TypeError
-    @pytest.mark.parametrize("arith", ["exact", FixedConfig()], ids=["exact", "fixed"])
-    def test_compares_and_hashes_by_identity(self, arith):
-        plan = build_plan(4)
-        r1, r2 = (execute(plan, [1.0, 2.0, 3.0, 4.0], "dft", arith) for _ in range(2))
-        assert r1 == r1 and r1 != r2
-        assert r1 in [r2, r1] and r1 not in [r2]
-        assert len({r1, r2, r1}) == 2
-
-
+# TestCountOps and then TestFixedMode's flag test run first, ahead of the
+# dense-oracle runs: they kill mutants of tests/mutants.py, which stops at
+# the first failure and runs this file last.
 class TestCountOps:
     def test_order_16(self, plan16):
         ops = count_ops(plan16)
@@ -571,6 +224,356 @@ def _report_oracle(plan, samples, cfg, select):
     dominant = tuple(sorted({k for k, *_, rel in entries
                              if rel >= worst * (1 - 1e-12) and worst > 0}))
     return worst, dominant, floor, tuple(entries)
+
+
+class TestFixedMode:
+    # The samples and the ROM constants are quantized to the word, where each
+    # may saturate on its own: no add or multiply of the walk does below.
+    @pytest.mark.parametrize("n, samples, cfg", [
+        (16, [300.0] + [0.0] * 15, FixedConfig()),
+        # cos(2 pi / 32) * 8 rounds to 8, above Q0.3's max_raw 7
+        (32, [0.0] * 32, FixedConfig(QFormat(4, 3), acc_total_bits=8))],
+        ids=["sample", "rom-constant"])
+    def test_quantize_flags_reach_the_result(self, n, samples, cfg):
+        plan = build_plan(n)
+        for select in TransformSelect:
+            out = execute(plan, samples, select, cfg)
+            assert out.overflow
+            assert (out.real_raw, out.imag_raw, out.overflow) == \
+                _oracle_fixed(plan, samples, select, cfg)
+
+    def test_table_dft_bit_exact(self, plan16):
+        out = execute(plan16, RAMP2, TransformSelect.DFT, FixedConfig())
+        assert list(out.values) == FIXED_DFT
+        assert out.real_raw[2] == -1024
+        assert out.imag_raw[2] == 2480
+        assert out.imag_raw[6] == 432
+        assert not out.overflow
+        # zero bins are exactly zero, not merely small
+        for k in range(1, 16, 2):
+            assert out.real_raw[k] == 0 and out.imag_raw[k] == 0
+
+    def test_table_dht_bit_exact(self, plan16):
+        out = execute(plan16, RAMP2, TransformSelect.DHT, FixedConfig())
+        assert list(out.values) == FIXED_DHT
+        assert out.real_raw == (7168, 0, -3504, 0, -2048, 0, -1456, 0,
+                                -1024, 0, -592, 0, 0, 0, 1456, 0)
+        assert out.imag_raw is None
+
+    def test_hartley_matches_subtraction_bit_exact(self, plan16):
+        rng = np.random.default_rng(44)
+        v = rng.integers(-128, 128, size=16) / 16.0
+        dft = execute(plan16, v, TransformSelect.DFT, FixedConfig())
+        dht = execute(plan16, v, TransformSelect.DHT, FixedConfig())
+        assert dht.real_raw == tuple(r - i for r, i in zip(dft.real_raw, dft.imag_raw))
+
+    def test_zero_input_no_overflow(self, plan16):
+        for sel in (TransformSelect.DFT, TransformSelect.DHT):
+            out = execute(plan16, [0.0] * 16, sel, FixedConfig())
+            assert not any(out.real_raw)
+            assert not out.overflow
+
+    @pytest.mark.parametrize("select", list(TransformSelect))
+    @pytest.mark.parametrize("acc_bits", [32, 16], ids=["in-range", "saturating"])
+    def test_raws_are_ints(self, plan16, select, acc_bits):
+        out = execute(plan16, np.array(FULL_SCALE_RAWS) / 128, select,
+                      FixedConfig(acc_total_bits=acc_bits))
+        assert out.overflow == (acc_bits == 16)
+        raws = out.real_raw + (out.imag_raw or ())
+        assert len(raws) == 16 * (2 if select is TransformSelect.DFT else 1)
+        assert all(type(r) is int for r in raws)
+
+    def test_rounding_mode_changes_result(self, plan16):
+        away = execute(plan16, RAMP2, TransformSelect.DFT, FixedConfig())
+        trunc = execute(plan16, RAMP2, TransformSelect.DFT,
+                        FixedConfig(rounding="truncate"))
+        # truncation maps sqrt(2)/2 to 90/128, so bin 2 reads 19.25 instead
+        assert away.values[2].imag == 19.375
+        assert trunc.values[2].imag == 19.25
+
+    def test_saturating_accumulation_order_pinned(self, plan16):
+        cfg = FixedConfig(acc_total_bits=16)
+        v = np.array(FULL_SCALE_RAWS) / 128
+        dft = execute(plan16, v, TransformSelect.DFT, cfg)
+        assert dft.real_raw == (21827, -8029, -32768, 28934, 21307, 17554, 7947, 27186,
+                                21945, 27186, 7947, 17554, 21307, 28934, -32768, -8029)
+        assert dft.imag_raw == (0, 32767, 3509, -1216, -26489, 9471, -32768, -32768,
+                                0, 32767, 32767, -9472, 26489, 1215, -3509, -32768)
+        assert dft.overflow
+        dht = execute(plan16, v, TransformSelect.DHT, cfg)
+        assert dht.real_raw == (21827, -32768, -32768, 30150, 32767, 8083, 32767, 32767,
+                                21945, -5581, -24820, 27026, -5182, 27719, -29259, 24739)
+        assert dht.overflow
+
+    @pytest.mark.parametrize("rounding, acc_bits", [
+        ("half-away", 32), ("half-even", 18), ("truncate", 17), ("half-away", 16)])
+    def test_matches_dense_oracle(self, rounding, acc_bits):
+        # The executor walks each row's nonzero terms in column order; the
+        # oracle walks every entry.  Narrow accumulators saturate on the
+        # full-scale inputs, so a different term order shows in the raws.
+        cfg = FixedConfig(rounding=rounding, acc_total_bits=acc_bits)
+        rng = np.random.default_rng(acc_bits)
+        overflows = []
+        for n in range(4, 129, 4):
+            plan = build_plan(n)
+            small = rng.integers(-128, 128, size=n) / 128
+            full = rng.integers(-32768, 32768, size=n) / 128
+            for v in (small, full):
+                for select in TransformSelect:
+                    out = execute(plan, v, select, cfg)
+                    got = (out.real_raw, out.imag_raw, out.overflow)
+                    assert got == _oracle_fixed(plan, v, select, cfg), (n, select)
+                    overflows.append(out.overflow)
+        assert any(overflows) == (acc_bits < 32)
+
+    @pytest.mark.parametrize("n", [16, 64])
+    def test_values_are_the_raws_over_the_scale(self, n):
+        # each bin's Fixed.value, and a + 1j * b of the two for DFT: the
+        # float bytes, so a -0.0 where the values hold +0.0 fails too.  An
+        # odd signal has bins with Re = 0 and Im < 0, where 1j * Im is -0.0.
+        rng = np.random.default_rng(n)
+        odd = np.zeros(n)
+        odd[1:n // 2] = rng.integers(-128, 128, size=n // 2 - 1) / 4
+        odd[n // 2 + 1:] = -odd[n // 2 - 1:0:-1]
+        signals = [rng.integers(-32768, 32768, size=n) / 128, rng.integers(-128, 128, size=n) / 128,
+                   odd]
+        overflows = []
+        for cfg in (FixedConfig(acc_total_bits=16), FixedConfig(QFormat(16, 9), "truncate", 18),
+                    FixedConfig(QFormat(16, 5), "half-even", 18), FixedConfig()):
+            for v in signals:
+                for select in TransformSelect:
+                    out = execute(build_plan(n), v, select, cfg)
+                    re = [Fixed(a, cfg.acc_fmt) for a in out.real_raw]
+                    if select is TransformSelect.DFT:
+                        im = [Fixed(b, cfg.acc_fmt) for b in out.imag_raw]
+                        want = np.array([a.value + 1j * b.value for a, b in zip(re, im)])
+                    else:
+                        want = np.array([h.value for h in re])
+                    assert out.values.dtype == want.dtype
+                    assert out.values.tobytes() == want.tobytes(), (cfg, select)
+                    overflows.append(out.overflow)
+        assert any(overflows) and not all(overflows)
+
+    def test_products_never_outgrow_their_input(self, exact_plans):
+        # every ROM constant lies in (0, 1) and quantizes to a raw in [0, 2**f],
+        # so |round(a * c)| <= |a| and fx_mul's clamp cannot fire inside execute
+        for n, plan in exact_plans.items():
+            constants = plan.tape.constants
+            assert all(0 < c < 1 for c in constants), n
+            for f in range(1, 16):
+                fmt = QFormat(16, f)
+                for rounding in ("half-away", "half-even", "truncate"):
+                    raws = [quantize(c, fmt, rounding).raw for c in constants]
+                    assert all(0 <= r <= 2**f for r in raws), (n, f, rounding)
+
+    def test_arith_must_be_a_config(self, plan16):
+        # the string "fixed" names no word format, rounding or accumulator
+        with pytest.raises(ValueError, match="arith must be 'exact' or a FixedConfig"):
+            execute(plan16, RAMP2, TransformSelect.DFT, "fixed")
+
+    def test_overflow_flag_reported_not_raised(self):
+        plan = build_plan(16)
+        cramped = FixedConfig(fmt=QFormat(8, 3), acc_total_bits=9)
+        out = execute(plan, [15.0] * 16, TransformSelect.DFT, cramped)
+        assert out.overflow
+
+    def test_deterministic_across_threads(self, plan16):
+        v = np.linspace(-3, 3, 16)
+
+        def work(_):
+            out = execute(plan16, v, TransformSelect.DFT, FixedConfig())
+            return (out.real_raw, out.imag_raw)
+
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(work, range(24)))
+        assert len(set(results)) == 1
+
+
+class TestExactMode:
+    def test_table_dft(self, plan16):
+        out = execute(plan16, RAMP2, TransformSelect.DFT, "exact")
+        assert np.abs(out.values - np.array(EXACT_DFT)).max() < 1e-9
+        assert np.abs(out.values - dft_direct(RAMP2)).max() < 1e-9
+
+    def test_table_dht(self, plan16):
+        out = execute(plan16, RAMP2, TransformSelect.DHT, "exact")
+        assert np.abs(out.values - dht_direct(RAMP2)).max() < 1e-9
+
+    def test_oracle_equivalence_random(self, exact_plans):
+        rng = np.random.default_rng(41)
+        for n in EXACT_ORDERS:
+            for _ in range(10 if n <= 32 else 3):
+                v = rng.normal(size=n)
+                out = execute(exact_plans[n], v, TransformSelect.DFT, "exact")
+                assert np.abs(out.values - dft_direct(v)).max() < 1e-9, n
+
+    def test_stages_match_dense_factors(self, exact_plans, monkeypatch):
+        # on integer samples every input-stage sum is exact, so exact mode
+        # must hand the merge each stream's combiner rows applied to
+        # value * (reduced_rows @ v), each row summed from 0.0 in increasing
+        # column order, bit for bit: both stages against the dense factors
+        handed = []
+
+        def merge(plan, outputs, add, sub):
+            outputs = list(outputs)
+            handed[:] = [y.copy() for y in outputs]  # before a merge that may add in place
+            return merge_streams(plan, outputs, add, sub)
+
+        merge_streams = engine._merge_streams
+        monkeypatch.setattr(engine, "_merge_streams", merge)
+        rng = np.random.default_rng(44)
+        for n, plan in exact_plans.items():
+            v = rng.integers(-1000, 1001, size=n).astype(float)
+            execute(plan, v, TransformSelect.DFT, "exact")
+            for s, y in zip(plan.streams, handed, strict=True):
+                x = s.factor.reduced_rows @ v
+                if s.value is not None:
+                    x = s.value * x
+                want = np.zeros(n)
+                # a zero term adds +-0.0, which leaves a sum begun at 0.0 unchanged
+                for j, column in enumerate(s.factor.combiner.T):
+                    want = want + column * x[j]
+                assert y.tobytes() == want.tobytes(), (n, s.label, s.dest)
+
+    @pytest.mark.parametrize("select", ["dft", "dht"])
+    def test_float64_overflow_raises_without_warnings(self, plan16, select):
+        # finite samples whose transform overflows float64: one ValueError
+        # naming the largest |sample|, and no numpy floating-point warning
+        v = [1e308] * 16
+        v[5] = -1.7e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"largest \|sample\| is sample 5 = -1\.7e\+308"):
+                execute(plan16, v, select, "exact")
+
+    def test_hartley_only_overflow_raises(self, plan16):
+        # Re and Im of a*e_1 stay finite, but Re - Im reaches a*sqrt(2)
+        v = np.zeros(16)
+        v[1] = 1.5e308
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isfinite(execute(plan16, v, "dft", "exact").values).all()
+            with pytest.raises(ValueError, match=r"sample 1 = 1\.5e\+308"):
+                execute(plan16, v, "dht", "exact")
+
+    def test_hartley_is_re_minus_im(self, plan16):
+        rng = np.random.default_rng(42)
+        v = rng.normal(size=16)
+        dft = execute(plan16, v, TransformSelect.DFT, "exact")
+        dht = execute(plan16, v, TransformSelect.DHT, "exact")
+        assert np.array_equal(dht.values, dft.values.real - dft.values.imag)
+
+    def test_linearity(self, plan16):
+        rng = np.random.default_rng(43)
+        v = rng.normal(size=16)
+        a = 3.7
+        lhs = execute(plan16, a * v, TransformSelect.DFT, "exact").values
+        rhs = a * execute(plan16, v, TransformSelect.DFT, "exact").values
+        assert np.abs(lhs - rhs).max() < 1e-9
+
+    def test_zero_input(self, plan16):
+        out = execute(plan16, [0.0] * 16, TransformSelect.DFT, "exact")
+        assert not out.values.any()
+
+    def test_length_mismatch(self, plan16):
+        with pytest.raises(ValueError):
+            execute(plan16, [1.0] * 8, TransformSelect.DFT, "exact")
+
+    def test_wrong_count_is_one_message_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, got in (([1.0] * 8, 8), (np.zeros(17), 17)):
+                with pytest.raises(ValueError, match=rf"^expected 16 samples, got {got}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_shape_named_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, message in ((np.zeros((2, 8)), "signal must be one-dimensional"),
+                               ([], "signal must contain at least one sample")):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_unreadable_samples_named_in_both_modes(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v, message in (([0.0] * 5 + [object()] + [0.0] * 10,
+                                r"sample 5 \(object\) is not a number"),
+                               ([object()] * 16, r"sample 0 \(object\) is not a number"),
+                               ({1: 2}, "signal must be one-dimensional"),
+                               (["1.5"] + ["0"] * 15, r"sample 0 \(str\) is not a number"),
+                               (["abc"] * 16, r"sample 0 \(str\) is not a number"),
+                               ([1, "x"] + [0] * 14, r"sample 1 \(str\) is not a number"),
+                               (np.array([0.0] * 3 + [b"2"] + [0.0] * 12, dtype=object),
+                                r"sample 3 \(bytes\) is not a number")):
+                with pytest.raises(ValueError, match=rf"^{message}$"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_non_finite_sample_names_index(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            # 2**1024 - 2**970 is the least int that float() cannot round
+            for bad in (float("inf"), float("-inf"), float("nan"), 10**400, -10**400,
+                        2**1024 - 2**970):
+                v = [0.0] * 16
+                v[5] = bad
+                with pytest.raises(ValueError, match="sample 5 "):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_complex_samples_rejected(self, plan16):
+        for arith in ("exact", FixedConfig()):
+            for v in (np.ones(16) * (1 + 1j), [1 + 0j] * 16):
+                with pytest.raises(ValueError, match="samples must be real"):
+                    execute(plan16, v, TransformSelect.DFT, arith)
+
+    def test_string_select_accepted(self, plan16):
+        out = execute(plan16, RAMP2, "dht", "exact")
+        assert out.select is TransformSelect.DHT
+
+    def test_self_check_covers_exact_mode(self, exact_plans):
+        # build_plan's self-check runs reconstruct on the dense factors, and
+        # exact mode runs the tape.  On a basis vector every sum of either
+        # stage has at most one nonzero term, so exact mode must give each
+        # reconstruct column exactly; this ties it to the checked factors
+        for n, plan in exact_plans.items():
+            rec = reconstruct(plan)
+            for k, e_k in enumerate(np.eye(n)):
+                out = execute(plan, e_k, "dft", "exact")
+                assert np.array_equal(out.values, rec[:, k]), (n, k)
+
+
+class TestFixedConfig:
+    def test_unknown_rounding_mode_rejected(self):
+        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
+            FixedConfig(rounding="bogus")
+
+    @pytest.mark.parametrize("bits", [15, 33, 20.0])
+    def test_accumulator_width_rejected_at_construction(self, bits):
+        # narrower than the 16-bit word, wider than a QFormat can be, or
+        # not an integer
+        with pytest.raises(ValueError, match=rf"accumulator width .* got {bits}"):
+            FixedConfig(acc_total_bits=bits)
+
+    @pytest.mark.parametrize("fmt", [(16, 7), None])
+    def test_format_must_be_a_qformat(self, fmt):
+        with pytest.raises(ValueError, match=f"fmt must be a QFormat, got {re.escape(repr(fmt))}"):
+            FixedConfig(fmt=fmt)
+
+    def test_accumulator_format_built_once(self):
+        cfg = FixedConfig(acc_total_bits=18)
+        assert cfg.acc_fmt is cfg.acc_fmt
+        assert cfg.acc_fmt == QFormat(18, 7)
+        assert cfg == FixedConfig(acc_total_bits=18)
+        assert hash(cfg) == hash(FixedConfig(acc_total_bits=18))
+        assert FixedConfig(acc_total_bits=np.int64(18)) == cfg
+
+
+class TestTransformResult:
+    # a generated __eq__ and __hash__ read the values array: r1 == r2 and
+    # r1 in [r2] raised "truth value of an array ... is ambiguous", hash a TypeError
+    @pytest.mark.parametrize("arith", ["exact", FixedConfig()], ids=["exact", "fixed"])
+    def test_compares_and_hashes_by_identity(self, arith):
+        plan = build_plan(4)
+        r1, r2 = (execute(plan, [1.0, 2.0, 3.0, 4.0], "dft", arith) for _ in range(2))
+        assert r1 == r1 and r1 != r2
+        assert r1 in [r2, r1] and r1 not in [r2]
+        assert len({r1, r2, r1}) == 2
 
 
 # the Q-format study grid: frac bits x rounding x accumulator width
