@@ -23,7 +23,7 @@ from .engine import FixedConfig, TransformSelect, _check_input, execute
 from .fixed import OverflowFlag, QFormat, ROUND_HALF_AWAY, ROUNDING_MODES, quantize
 from .memory import (_overwrite_text, _read_ascii_lines, load_stimulus, pack_output, run_device,
                      write_output_words)
-from .plan import _require_mod4, build_plan, count_ops, format_plan
+from .plan import UnsupportedLengthError, _require_mod4, build_plan, count_ops, format_plan
 from .reference import dft_direct, dht_direct
 
 
@@ -53,25 +53,22 @@ def _format_values(result, fmt: str, packing: OverflowFlag):
     return [format(w, "08X") for w in pack_output(result, flags=packing)]  # "hex"
 
 
-def _saturates(x: float, cfg: FixedConfig) -> bool:
-    flags = OverflowFlag()
-    quantize(x, cfg.fmt, cfg.rounding, flags)
-    return flags.overflow
-
-
 def _cmd_transform(args) -> int:
     samples = _read_samples(args.input)
-    # the block length is named before the sample count is held against it
-    n = _require_mod4(len(samples) if args.n is None else args.n)
+    try:  # the block length is named before the sample count is held against it
+        n = _require_mod4(len(samples) if args.n is None else args.n)
+    except UnsupportedLengthError as exc:
+        where = f"{args.input}: N is its sample count: " if args.n is None else ""
+        raise ValueError(f"{where}{exc}") from None
     _check_input(n, samples)  # names a wrong count or a non-finite sample
     arith = "exact"
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
-        # quantize is monotone in x, so no sample saturates unless the
-        # smallest or the largest does; only then scan for the first one
-        if _saturates(min(samples), arith) or _saturates(max(samples), arith):
-            i = next(i for i, x in enumerate(samples) if _saturates(x, arith))
-            raise ValueError(f"sample {i} = {samples[i]!r} is outside the {arith.fmt} range")
+        flags = OverflowFlag()
+        for i, x in enumerate(samples):
+            quantize(x, arith.fmt, arith.rounding, flags)
+            if flags.overflow:
+                raise ValueError(f"sample {i} = {x!r} is outside the {arith.fmt} range")
     elif args.format == "hex":
         raise ValueError("hex output requires fixed arithmetic")
     # every refusal above comes before the plan build, the slow step

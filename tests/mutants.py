@@ -1,5 +1,6 @@
-"""Mutants of the fixed executor, its scalar ops, the output packing and the op
-count that the fast tests must kill.
+"""Mutants of the fixed executor, its scalar ops, the output packing, the op
+count, the plan's reconstruction check and the CLI's refusals that the fast
+tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -8,11 +9,11 @@ repository root:
 
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
-`pytest -x -q` on TESTS (the op, memory, exhaustive and engine tests) in the
-copy, fastest file first.  The unmutated copy must pass first.  The
-exit status is nonzero if it does not, if an old text does not occur exactly
-once, or if a mutant survives (its tests pass).  Only the standard library is
-used.
+`pytest -x -q` on TESTS (the op, memory, CLI, exhaustive, plan and engine
+tests) in the copy, fastest file first.  The unmutated copy must pass first.
+The exit status is nonzero if it does not, if an old text does not occur
+exactly once, or if a mutant survives (its tests pass).  Only the standard
+library is used.
 """
 
 import os
@@ -23,8 +24,9 @@ import tempfile
 import time
 from pathlib import Path
 
-ENGINE, FIXED = "src/laurentfft/engine.py", "src/laurentfft/fixed.py"
-MEMORY, PLAN = "src/laurentfft/memory.py", "src/laurentfft/plan.py"
+CLI, ENGINE = "src/laurentfft/cli.py", "src/laurentfft/engine.py"
+FIXED, MEMORY = "src/laurentfft/fixed.py", "src/laurentfft/memory.py"
+PLAN = "src/laurentfft/plan.py"
 
 MUTANTS = [
     (ENGINE,
@@ -97,10 +99,24 @@ MUTANTS = [
      "np.maximum(r - 1, 0)",
      "np.maximum(r, 0)",
      "count_ops counts a row reached by t streams as t merge adds"),
+    (PLAN,
+     "if err > RECONSTRUCTION_TOL:",
+     "if err > RECONSTRUCTION_TOL and False:",
+     "build_plan returns a plan that fails to reconstruct the DFT matrix"),
+    (CLI,
+     "for i, x in enumerate(samples):",
+     "for i, x in enumerate(samples[:-1]):",
+     "transform leaves the last sample out of its range check"),
+    (CLI,
+     'print("error: plan contains a non-optimal factorization", file=sys.stderr)\n'
+     "        return 1",
+     'print("error: plan contains a non-optimal factorization", file=sys.stderr)\n'
+     "        return 0",
+     "plan exits 0 on a non-optimal plan"),
 ]
 
-TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_exhaustive.py",
-         "tests/test_engine.py"]
+TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_cli.py",
+         "tests/test_exhaustive.py", "tests/test_plan.py", "tests/test_engine.py"]
 
 
 def _tests_pass(tree: Path) -> bool:

@@ -1,15 +1,18 @@
 """Command-line behavior, exercised through main() for real exit codes."""
 
+import dataclasses
 import os
+import runpy
+import sys
 import warnings
 
 import numpy as np
 import pytest
 
-from laurentfft import (FixedConfig, MemoryImage, QFormat, build_plan, cli, execute,
-                        load_stimulus, pack_output, run_device)
+from laurentfft import (FixedConfig, MemoryImage, QFormat, build_plan, cli, count_ops, execute,
+                        format_plan, load_stimulus, pack_output, run_device)
 from laurentfft.cli import main
-from laurentfft.fixed import ROUNDING_MODES, quantize
+from laurentfft.fixed import ROUNDING_MODES
 from laurentfft.plan import MAX_ORDER
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7] * 2
@@ -187,18 +190,12 @@ class TestTransform:
         assert code == 1
         assert err.splitlines() == ["error: sample 1 = -999.0 is outside the Q8.7 range"]
 
-    def test_range_probe_quantizes_only_the_extremes(self, capsys, ramp_file, monkeypatch):
-        calls = []
-
-        def counting_quantize(*args, **kwargs):
-            calls.append(args[0])
-            return quantize(*args, **kwargs)
-
-        monkeypatch.setattr(cli, "quantize", counting_quantize)
-        code, _, _ = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
-                             "--input", str(ramp_file))
-        assert code == 0
-        assert calls == [min(RAMP2), max(RAMP2)]
+    def test_last_sample_out_of_range_named(self, capsys, tmp_path, no_plan):
+        path = tmp_path / "last.csv"
+        path.write_text("0\n" * 15 + "999\n")
+        code, out, err = run_cli(capsys, "transform", "--n", "16", "--arith", "fixed",
+                                 "--input", str(path))
+        assert (code, out, err) == (1, "", "error: sample 15 = 999.0 is outside the Q8.7 range\n")
 
     @pytest.mark.parametrize("rounding", ROUNDING_MODES)
     def test_small_sample_in_range(self, capsys, tmp_path, rounding):
@@ -265,25 +262,33 @@ class TestTransform:
         assert (code, out) == (1, "")
         assert err == f"error: {path}:{where}\n"
 
-    def test_missing_input_file(self, capsys, tmp_path):
-        code, _, err = run_cli(capsys, "transform", "--n", "16",
-                               "--input", str(tmp_path / "nope.csv"))
-        assert code == 1 and err.startswith("error:")
-
     def test_missing_file_is_one_line_alike_in_both_commands(self, capsys, tmp_path):
         missing = tmp_path / "nope.csv"
         transform = run_cli(capsys, "transform", "--input", str(missing))
+        transform_n16 = run_cli(capsys, "transform", "--n", "16", "--input", str(missing))
         testbench = run_cli(capsys, "testbench", str(missing))
-        assert transform == testbench == (
+        assert transform == transform_n16 == testbench == (
             1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
     def test_sample_count_not_a_length_named_before_sample_range(self, capsys, tmp_path,
                                                                  no_plan):
         path = tmp_path / "six.csv"
         path.write_text("0\n999\n0\n0\n0\n0\n")
+        rule = "block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=6"
         code, out, err = run_cli(capsys, "transform", "--input", str(path))
-        assert (code, out, err) == (
-            1, "", "error: block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=6\n")
+        assert (code, out, err) == (1, "", f"error: {path}: N is its sample count: {rule}\n")
+        code, out, err = run_cli(capsys, "transform", "--n", "6", "--input", str(path))
+        assert (code, out, err) == (1, "", f"error: {rule}\n")
+
+    def test_overflow_warning(self, capsys, ramp_file, monkeypatch):
+        # no sample file sets the flag: samples are range-checked first, ROM
+        # constants lie in (0, 1) and 32-bit accumulators do not saturate
+        argv = ("transform", "--n", "16", "--input", str(ramp_file))
+        _, words, _ = run_cli(capsys, *argv)
+        monkeypatch.setattr(cli, "execute",
+                            lambda *args: dataclasses.replace(execute(*args), overflow=True))
+        assert run_cli(capsys, *argv) == (
+            0, words, "warning: fixed-point overflow occurred (results saturated)\n")
 
 
 class TestPlan:
@@ -315,6 +320,16 @@ class TestPlan:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
+
+    def test_non_optimal_plan_prints_and_exits_1(self, capsys, monkeypatch, padded_plan):
+        monkeypatch.setattr(cli, "build_plan", lambda n: padded_plan)
+        ops = count_ops(padded_plan)
+        counts = (f"block length: 16\nmultiplications: {ops.multiplications}\n"
+                  f"additions: {ops.additions}\naccumulation adds: {ops.accumulation_adds}\n"
+                  f"dht output adds: {ops.dht_extra_adds}\n")
+        assert run_cli(capsys, "plan", "--n", "16") == (
+            1, counts + format_plan(padded_plan),
+            "error: plan contains a non-optimal factorization\n")
 
 
 class TestTestbench:
@@ -467,3 +482,14 @@ class TestFixedOptions:
         assert (code, out) == (1, "")
         assert err == f"error: QFormat frac_bits must be an integer in [1, 15], got {bits}\n"
         assert not out_path.exists()
+
+
+def test_run_as_module_exits_with_mains_status(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["laurentfft", "plan", "--n", "10"])
+    # runpy warns when the module it runs as __main__ is already imported
+    monkeypatch.delitem(sys.modules, "laurentfft.cli")
+    with pytest.raises(SystemExit) as exit_:
+        runpy.run_module("laurentfft.cli", run_name="__main__")
+    assert exit_.value.code == 1
+    assert capsys.readouterr() == (
+        "", "error: block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=10\n")

@@ -13,9 +13,7 @@ from hypothesis import strategies as st
 
 from laurentfft import (
     FactoredTernary,
-    LaurentPlan,
     PlanConstructionError,
-    Stream,
     UnsupportedLengthError,
     build_M,
     build_plan,
@@ -321,16 +319,12 @@ class TestDerivedFactorAttributes:
                 f = s.factor
                 assert f.rank == f.combiner.shape[1] == f.reduced_rows.shape[0], (n, s.label)
 
-    def test_dependent_columns_read_non_optimal(self):
+    def test_dependent_columns_read_non_optimal(self, padded_plan):
         f = echelon_factor(np.array([[1, 0, 1], [0, 1, 1]]))
         assert f.rank == 3 and not f.optimal
         # the same matrix in a padded plan: the dump marks it, the plan reads non-optimal
-        t = np.zeros((16, 16), dtype=int)
-        t[:2, :3] = [[1, 0, 1], [0, 1, 1]]
-        dependent = Stream("dep", 0.5, echelon_factor(t), "im", -1)
-        padded = LaurentPlan(16, build_plan(16).streams + (dependent,))
-        assert not padded.optimal
-        text = format_plan(padded)
+        assert not padded_plan.optimal
+        text = format_plan(padded_plan)
         assert text.count("[non-optimal factorization]") == 1
         assert "  im path (subtracted) rank 3  [non-optimal factorization]" in text
 
@@ -456,6 +450,13 @@ class TestBuildPlan:
             assert len(streams) == len(want), n
             for s, mat in zip(streams, want):
                 assert np.array_equal(factor_product(s.factor), mat), (n, s.label, s.dest)
+
+    def test_reconstruction_error_is_refused(self, monkeypatch):
+        exact = plan_module.reconstruct
+        monkeypatch.setattr(plan_module, "reconstruct", lambda plan: exact(plan) + 1e-9)
+        with pytest.raises(PlanConstructionError,
+                           match=r"plan for N=8 fails to reconstruct the DFT matrix"):
+            build_plan(8)
 
     def test_reconstruction_identity(self):
         for n in (4, 8, 12, 16, 20, 24, 28, 32):
