@@ -40,6 +40,13 @@ def _read_samples(path) -> list[float]:
     return values
 
 
+def _length(values, path, unit: str) -> int:
+    try:  # a count that is not a supported N is named with its file
+        return _require_mod4(len(values))
+    except UnsupportedLengthError as exc:
+        raise ValueError(f"{path}: N is its {unit} count: {exc}") from None
+
+
 def _format_values(result, fmt: str, packing: OverflowFlag):
     if fmt == "text":
         if result.select is TransformSelect.DFT:
@@ -55,12 +62,8 @@ def _format_values(result, fmt: str, packing: OverflowFlag):
 
 def _cmd_transform(args) -> int:
     samples = _read_samples(args.input)
-    try:  # the block length is named before the sample count is held against it
-        n = _require_mod4(len(samples) if args.n is None else args.n)
-    except UnsupportedLengthError as exc:
-        where = f"{args.input}: N is its sample count: " if args.n is None else ""
-        raise ValueError(f"{where}{exc}") from None
-    _check_input(n, samples)  # names a wrong count or a non-finite sample
+    n = _length(samples, args.input, "sample") if args.n is None else _require_mod4(args.n)
+    v = _check_input(n, samples)  # then names a wrong count or a non-finite sample
     arith = "exact"
     if args.arith == "fixed":
         arith = FixedConfig(QFormat(16, args.frac_bits), args.round)
@@ -71,8 +74,7 @@ def _cmd_transform(args) -> int:
                 raise ValueError(f"sample {i} = {x!r} is outside the {arith.fmt} range")
     elif args.format == "hex":
         raise ValueError("hex output requires fixed arithmetic")
-    # every refusal above comes before the plan build, the slow step
-    result = execute(build_plan(n), samples, args.select, arith)
+    result = execute(build_plan(n), v, args.select, arith)  # the slow build follows every refusal
 
     packing = OverflowFlag()
     lines = _format_values(result, args.format, packing)
@@ -82,7 +84,7 @@ def _cmd_transform(args) -> int:
         sys.stdout.writelines(line + "\n" for line in lines)
 
     if args.compare:
-        oracle = (dft_direct if result.select is TransformSelect.DFT else dht_direct)(samples)
+        oracle = (dft_direct if result.select is TransformSelect.DFT else dht_direct)(v)
         deviation = float(np.max(np.abs(result.values - oracle)))
         print(f"max deviation vs direct transform: {deviation:.3e}")
     if result.overflow:
@@ -114,7 +116,7 @@ def _cmd_plan(args) -> int:
 def _cmd_testbench(args) -> int:
     image = load_stimulus(args.stimulus)
     cfg = FixedConfig(QFormat(16, args.frac_bits), args.round)
-    done = run_device(image, build_plan(len(image.input_words)), cfg)
+    done = run_device(image, build_plan(_length(image.input_words, args.stimulus, "word")), cfg)
     out_path = args.output or (str(args.stimulus) + ".out.hex")
     write_output_words(done.output_words, out_path)
     print(f"wrote {len(done.output_words)} output words to {out_path}")

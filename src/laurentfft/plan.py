@@ -222,17 +222,17 @@ def _independent_columns(mat: np.ndarray) -> bool:
 def echelon_factor(mat) -> FactoredTernary:
     """Factor a ternary matrix as combiner @ reduced_rows, both ternary.
 
-    The nonzero columns are grouped by their pattern up to sign: each column
-    is multiplied by its leading nonzero entry and looked up by its bytes,
-    and the groups are numbered in order of first appearance.  The combiner
-    holds the first (pivot) column of each group; the group's reduced row is
-    +1 at the pivot and, at every other member, that member's sign relative
-    to the pivot, so every column of reduced_rows has at most one nonzero.
-    Both are kept as tables of their nonzeros once their product reproduces
-    the input exactly.  With independent pivot columns the reduced rows are
-    the reduced row-echelon form and rank is the rational rank; a matrix with
-    dependent distinct columns, such as [[1, 0, 1], [0, 1, 1]], keeps one row
-    per group and reads non-optimal (rank 3, against a rational rank of 2).
+    The nonzero columns are grouped by their pattern up to sign, keyed by the
+    column times its leading nonzero entry (its lead), and the groups are
+    numbered in order of first appearance.  The combiner holds the first
+    (pivot) column of each group; the group's reduced row is +1 at the pivot
+    and, at every other member, its lead times the pivot's, so every column
+    of reduced_rows has at most one nonzero.  Both are kept as tables of
+    their nonzeros; their product is the input, as a group shares one key and
+    leads are ±1.  With independent pivots the reduced rows are the reduced
+    row-echelon form and rank is the rational rank; a matrix with dependent
+    distinct columns, such as [[1, 0, 1], [0, 1, 1]], keeps one row per group
+    and reads non-optimal (rank 3, against a rational rank of 2).
     """
     t = _as_ternary(mat)
     cols = np.flatnonzero(t.any(axis=0))
@@ -245,8 +245,6 @@ def echelon_factor(mat) -> FactoredTernary:
     first = np.unique(g, return_index=True)[1]
     combiner = sub[:, first]
     sign = lead * lead[first][g]
-    if not (combiner[:, g] * sign == sub).all():
-        raise PlanConstructionError("column grouping failed to reproduce the matrix")
     by_group = np.argsort(g, kind="stable")  # keeps each row's columns increasing
     rows, pivot_cols = np.nonzero(combiner)
     return FactoredTernary(RowTable(g[by_group], cols[by_group], sign[by_group], first.size),

@@ -1,6 +1,6 @@
 """Mutants of the fixed executor, its scalar ops, the output packing, the op
-count, the plan's reconstruction check and the CLI's refusals that the fast
-tests must kill.
+count, the plan's reconstruction check, the column grouping and the CLI's
+refusals that the fast tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -10,7 +10,9 @@ repository root:
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
 `pytest -x -q` on TESTS (the op, memory, CLI, exhaustive, plan and engine
-tests) in the copy, fastest file first.  The unmutated copy must pass first.
+tests) in the copy, fastest file first but for the mutated file's own test
+file, tests/test_<its stem>.py, which runs first.  Under -x a survivor still
+runs every file.  The unmutated copy must pass first.
 The exit status is nonzero if it does not, if an old text does not occur
 exactly once, or if a mutant survives (its tests pass).  Only the standard
 library is used.
@@ -103,6 +105,10 @@ MUTANTS = [
      "if err > RECONSTRUCTION_TOL:",
      "if err > RECONSTRUCTION_TOL and False:",
      "build_plan returns a plan that fails to reconstruct the DFT matrix"),
+    (PLAN,
+     "sign = lead * lead[first][g]",
+     "sign = lead[first][g]",
+     "echelon_factor drops each column's own lead from its sign"),
     (CLI,
      "for i, x in enumerate(samples):",
      "for i, x in enumerate(samples[:-1]):",
@@ -119,10 +125,10 @@ TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_cli.py",
          "tests/test_exhaustive.py", "tests/test_plan.py", "tests/test_engine.py"]
 
 
-def _tests_pass(tree: Path) -> bool:
+def _tests_pass(tree: Path, tests) -> bool:
     env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
     run = subprocess.run([sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-                          *TESTS], cwd=tree, env=env, stdout=subprocess.DEVNULL,
+                          *tests], cwd=tree, env=env, stdout=subprocess.DEVNULL,
                          stderr=subprocess.DEVNULL)
     return run.returncode == 0
 
@@ -144,9 +150,10 @@ def _copy(root: Path, tree: Path, mutant=None):
 def _run(root: Path, mutant=None) -> tuple[bool, float]:
     """Whether the tests pass on a copy of root with mutant applied, and the seconds taken."""
     start = time.perf_counter()
+    own = mutant and f"tests/test_{Path(mutant[0]).stem}.py"
     with tempfile.TemporaryDirectory() as tmp:
         _copy(root, Path(tmp), mutant)
-        passed = _tests_pass(Path(tmp))
+        passed = _tests_pass(Path(tmp), sorted(TESTS, key=lambda t: t != own))
     return passed, time.perf_counter() - start
 
 

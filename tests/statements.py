@@ -7,11 +7,10 @@ Run from the repository root:
 The script runs the tier-1 tests in this process, with a tracer set by
 sys.settrace and threading.settrace that records each line executed in a file
 under src/laurentfft/.  It takes the first line of each statement in those
-files from ast and names every statement whose first line never ran, except
-those in ALLOWED, each keyed by its source text and given a reason.  The exit
-status is nonzero if a test fails, if a statement outside ALLOWED never ran,
-or if a statement in ALLOWED did run (its entry is stale).  The tracer uses
-only the standard library; the tests run under pytest, as tier-1 does.
+files from ast and names every statement whose first line never ran.  The
+exit status is nonzero if a test fails or if any statement never ran.  The
+tracer uses only the standard library; the tests run under pytest, as tier-1
+does.
 """
 
 import ast
@@ -24,11 +23,6 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "laurentfft"
-
-ALLOWED = {
-    'raise PlanConstructionError("column grouping failed to reproduce the matrix")':
-        "echelon_factor's guard: only a broken column grouping reaches it",
-}
 
 
 def _statements(path: Path):
@@ -71,25 +65,13 @@ def main() -> int:
     sys.path.insert(0, str(ROOT / "src"))
     files = {str(path): path for path in sorted(PACKAGE.glob("*.py"))}
     status, ran = _trace_tests(files)
-    missed, allowed_seen = [], set()
-    for name, path in files.items():
-        for lineno, text in sorted(_statements(path)):
-            if (name, lineno) in ran:
-                continue
-            where = f"{path.relative_to(ROOT)}:{lineno}: {text}"
-            if text in ALLOWED:
-                allowed_seen.add(text)
-                print(f"allowed, never run: {where} ({ALLOWED[text]})")
-            else:
-                missed.append(where)
+    missed = [f"{path.relative_to(ROOT)}:{lineno}: {text}"
+              for name, path in files.items()
+              for lineno, text in sorted(_statements(path)) if (name, lineno) not in ran]
     for where in missed:
         print(f"NEVER RUN: {where}")
-    stale = sorted(set(ALLOWED) - allowed_seen)
-    for text in stale:
-        print(f"STALE ALLOWED ENTRY (the statement ran or is gone): {text}")
-    print(f"{len(missed)} statements outside ALLOWED never ran; "
-          f"{len(stale)} stale ALLOWED entries; tests exit {status}")
-    return 1 if status or missed or stale else 0
+    print(f"{len(missed)} statements never ran; tests exit {status}")
+    return 1 if status or missed else 0
 
 
 if __name__ == "__main__":

@@ -384,10 +384,17 @@ class TestTestbench:
         stim.write_text("\n".join(["SELECT DFT"] + ["0000"] * (MAX_ORDER + 4)) + "\n")
         out_path = tmp_path / "words.hex"
         code, out, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
-        assert code == 1
-        assert out == ""
-        assert len(err.splitlines()) == 1
-        assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
+        rule = f"block length must not exceed {MAX_ORDER}, got N={MAX_ORDER + 4}"
+        assert (code, out, err) == (1, "", f"error: {stim}: N is its word count: {rule}\n")
+        assert not out_path.exists()
+
+    def test_stimulus_word_count_not_mod4_named(self, capsys, tmp_path):
+        stim = tmp_path / "s6.txt"
+        stim.write_text("\n".join(["SELECT DFT"] + ["0000"] * 6) + "\n")
+        out_path = tmp_path / "words.hex"
+        code, out, err = run_cli(capsys, "testbench", str(stim), "--output", str(out_path))
+        rule = "block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=6"
+        assert (code, out, err) == (1, "", f"error: {stim}: N is its word count: {rule}\n")
         assert not out_path.exists()
 
     def test_non_ascii_stimulus_names_line(self, capsys, tmp_path):
