@@ -107,9 +107,6 @@ def _cmd_plan(args) -> int:
         print(f"dht output adds: {ops.dht_extra_adds}")
     if show_dump:
         sys.stdout.write(format_plan(plan))
-    if not plan.optimal:
-        print("error: plan contains a non-optimal factorization", file=sys.stderr)
-        return 1
     return 0
 
 

@@ -41,10 +41,10 @@ def _as_signal(samples) -> np.ndarray:
 
 
 def dft_matrix(n: int) -> np.ndarray:
-    """The N x N matrix exp(-2j*pi*k*n/N)."""
+    """The N x N matrix exp(-2j*pi*k*n/N), its exponent reduced mod N first."""
     n = _admit(n, "transform length N", 1)
     idx = np.arange(n)
-    return np.exp(-2j * np.pi * np.outer(idx, idx) / n)
+    return np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)
 
 
 def dft_direct(samples) -> np.ndarray:
@@ -54,8 +54,9 @@ def dft_direct(samples) -> np.ndarray:
 
 
 def dht_direct(samples) -> np.ndarray:
-    """N-point DHT by direct summation of the cas kernel cos + sin."""
+    """N-point DHT by direct summation of the cas kernel cos + sin, its
+    argument's k*n reduced mod N first."""
     v = _as_signal(samples)
     idx = np.arange(v.size)
-    arg = 2 * np.pi * np.outer(idx, idx) / v.size
+    arg = 2 * np.pi * (np.outer(idx, idx) % v.size) / v.size
     return (np.cos(arg) + np.sin(arg)) @ v

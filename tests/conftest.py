@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from laurentfft import LaurentPlan, Stream, build_plan, echelon_factor
-
 
 def _rank_gauss(mat) -> int:
     """Independent rank oracle: fraction-free integer Gaussian elimination."""
@@ -41,13 +39,3 @@ def rank_gauss():
 def factor_product():
     """The matrix T a FactoredTernary factors, for tests that compare it."""
     return _factor_product
-
-
-@pytest.fixture(scope="session")
-def padded_plan():
-    """build_plan(16) with one more stream, whose 16 x 16 matrix has three
-    dependent columns: a plan that reads non-optimal."""
-    t = np.zeros((16, 16), dtype=int)
-    t[:2, :3] = [[1, 0, 1], [0, 1, 1]]
-    dependent = Stream("dep", 0.5, echelon_factor(t), "im", -1)
-    return LaurentPlan(16, build_plan(16).streams + (dependent,))

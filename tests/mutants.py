@@ -1,6 +1,6 @@
 """Mutants of the fixed executor, its scalar ops, the output packing, the op
-count, the plan's reconstruction check, the column grouping and the CLI's
-refusals that the fast tests must kill.
+count, the column grouping, the DFT oracle and the CLI's refusals that the
+fast tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -9,10 +9,10 @@ repository root:
 
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
-`pytest -x -q` on TESTS (the op, memory, CLI, exhaustive, plan and engine
-tests) in the copy, fastest file first but for the mutated file's own test
-file, tests/test_<its stem>.py, which runs first.  Under -x a survivor still
-runs every file.  The unmutated copy must pass first.
+`pytest -x -q` on TESTS (the op, memory, reference, CLI, exhaustive, plan and
+engine tests) in the copy, fastest file first but for the mutated file's own
+test file, tests/test_<its stem>.py, which runs first.  Under -x a survivor
+still runs every file.  The unmutated copy must pass first.
 The exit status is nonzero if it does not, if an old text does not occur
 exactly once, or if a mutant survives (its tests pass).  Only the standard
 library is used.
@@ -28,7 +28,7 @@ from pathlib import Path
 
 CLI, ENGINE = "src/laurentfft/cli.py", "src/laurentfft/engine.py"
 FIXED, MEMORY = "src/laurentfft/fixed.py", "src/laurentfft/memory.py"
-PLAN = "src/laurentfft/plan.py"
+PLAN, REFERENCE = "src/laurentfft/plan.py", "src/laurentfft/reference.py"
 
 MUTANTS = [
     (ENGINE,
@@ -102,10 +102,6 @@ MUTANTS = [
      "np.maximum(r, 0)",
      "count_ops counts a row reached by t streams as t merge adds"),
     (PLAN,
-     "if err > RECONSTRUCTION_TOL:",
-     "if err > RECONSTRUCTION_TOL and False:",
-     "build_plan returns a plan that fails to reconstruct the DFT matrix"),
-    (PLAN,
      "sign = lead * lead[first][g]",
      "sign = lead[first][g]",
      "echelon_factor drops each column's own lead from its sign"),
@@ -113,16 +109,15 @@ MUTANTS = [
      "for i, x in enumerate(samples):",
      "for i, x in enumerate(samples[:-1]):",
      "transform leaves the last sample out of its range check"),
-    (CLI,
-     'print("error: plan contains a non-optimal factorization", file=sys.stderr)\n'
-     "        return 1",
-     'print("error: plan contains a non-optimal factorization", file=sys.stderr)\n'
-     "        return 0",
-     "plan exits 0 on a non-optimal plan"),
+    (REFERENCE,
+     "np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)",
+     "np.exp(-2j * np.pi * np.outer(idx, idx) / n)",
+     "dft_matrix drops the % n from its exponent"),
 ]
 
-TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_cli.py",
-         "tests/test_exhaustive.py", "tests/test_plan.py", "tests/test_engine.py"]
+TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_reference.py",
+         "tests/test_cli.py", "tests/test_exhaustive.py", "tests/test_plan.py",
+         "tests/test_engine.py"]
 
 
 def _tests_pass(tree: Path, tests) -> bool:

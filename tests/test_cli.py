@@ -9,8 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from laurentfft import (FixedConfig, MemoryImage, QFormat, build_plan, cli, count_ops, execute,
-                        format_plan, load_stimulus, pack_output, run_device)
+from laurentfft import (FixedConfig, MemoryImage, QFormat, build_plan, cli, execute,
+                        load_stimulus, pack_output, run_device)
 from laurentfft.cli import main
 from laurentfft.fixed import ROUNDING_MODES
 from laurentfft.plan import MAX_ORDER
@@ -320,16 +320,6 @@ class TestPlan:
         assert out == ""
         assert len(err.splitlines()) == 1
         assert err.startswith(f"error: block length must not exceed {MAX_ORDER}")
-
-    def test_non_optimal_plan_prints_and_exits_1(self, capsys, monkeypatch, padded_plan):
-        monkeypatch.setattr(cli, "build_plan", lambda n: padded_plan)
-        ops = count_ops(padded_plan)
-        counts = (f"block length: 16\nmultiplications: {ops.multiplications}\n"
-                  f"additions: {ops.additions}\naccumulation adds: {ops.accumulation_adds}\n"
-                  f"dht output adds: {ops.dht_extra_adds}\n")
-        assert run_cli(capsys, "plan", "--n", "16") == (
-            1, counts + format_plan(padded_plan),
-            "error: plan contains a non-optimal factorization\n")
 
 
 class TestTestbench:

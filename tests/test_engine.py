@@ -527,10 +527,10 @@ class TestExactMode:
         assert out.select is TransformSelect.DHT
 
     def test_self_check_covers_exact_mode(self, exact_plans):
-        # build_plan's self-check runs reconstruct on the dense factors, and
-        # exact mode runs the tape.  On a basis vector every sum of either
-        # stage has at most one nonzero term, so exact mode must give each
-        # reconstruct column exactly; this ties it to the checked factors
+        # check_plan (tests/test_plan.py) runs reconstruct on the dense
+        # factors, and exact mode runs the tape.  On a basis vector every sum
+        # of either stage has at most one nonzero term, so exact mode must
+        # give each reconstruct column exactly; this ties it to the checked factors
         for n, plan in exact_plans.items():
             rec = reconstruct(plan)
             for k, e_k in enumerate(np.eye(n)):

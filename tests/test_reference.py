@@ -5,9 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from laurentfft import build_plan, dft_direct, dht_direct, execute
+from laurentfft import build_plan, dft_direct, dft_matrix, dht_direct, execute
 
 RAMP2 = [0, 1, 2, 3, 4, 5, 6, 7, 0, 1, 2, 3, 4, 5, 6, 7]
+
+
+@pytest.mark.parametrize("n", [428, 512, 30])
+def test_kernel_entries_depend_on_the_residue_alone(n):
+    # entry [k, c] of either kernel is computed from k*c mod N, so it equals
+    # the entry of column 1 at that residue exactly; with k*c unreduced,
+    # dft_direct was 4.1e-12 off np.fft.fft at N = 428
+    residue = np.outer(np.arange(n), np.arange(n)) % n
+    f = dft_matrix(n)
+    assert np.array_equal(f, f[:, 1][residue])
+    # the DHT kernel's columns, read through basis vectors
+    eye = np.eye(n)
+    first = dht_direct(eye[1])
+    for c in (n - 1, n // 2 + 1, *np.random.default_rng(n).choice(n, 8, replace=False)):
+        assert np.array_equal(dht_direct(eye[c]), first[residue[:, c]]), c
 
 
 class TestDftDirect:
