@@ -537,6 +537,12 @@ class TestBuildPlan:
             for f, mat in pairs:
                 assert (f.combiner @ f.reduced_rows == mat).all()
 
+    def test_plans_are_optimal_in_test_range(self):
+        # plans carry no optimality flag of their own: every factor's is read
+        for n in (4, 8, 12, 16, 20, 24, 28, 32):
+            for s in build_plan(n).streams:
+                assert s.factor.optimal, (n, s.label, s.dest)
+
     def test_tape_tables_rebuild_the_factors(self):
         # the input and combiner tables hold every nonzero of every stream's
         # factors, row by row with columns increasing, and nothing else
