@@ -140,8 +140,10 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
         h_raw, _ = zip(*[fx_sub(a, b, flags) for a, b in zip(re, im)])
         return TransformResult(select, np.array(h_raw) / scale, h_raw, None, flags.overflow)
     (re_raw, _), (im_raw, _) = zip(*re), zip(*im)
-    return TransformResult(select, np.array(re_raw) / scale + 1j * (np.array(im_raw) / scale),
-                           re_raw, im_raw, flags.overflow)
+    values = np.empty(n, complex)
+    values.real, values.imag = re_raw, im_raw
+    values /= scale  # a power of two: each part divides exactly as a float would
+    return TransformResult(select, values, re_raw, im_raw, flags.overflow)
 
 
 def execute(plan: LaurentPlan, samples, select: TransformSelect = TransformSelect.DFT,

@@ -134,10 +134,10 @@ class Fixed(_FixedFields):
 
 def _div_round(num: int, den: int, rounding: str) -> int:
     """Round num/den to an integer.  den > 0."""
-    if rounding == ROUND_TRUNCATE:
-        q = abs(num) // den
-    elif rounding == ROUND_HALF_AWAY:
+    if rounding == ROUND_HALF_AWAY:  # the default, tested first
         q = (abs(num) * 2 + den) // (den * 2)
+    elif rounding == ROUND_TRUNCATE:
+        q = abs(num) // den
     elif rounding == ROUND_HALF_EVEN:
         q, r = divmod(abs(num), den)
         if 2 * r > den or (2 * r == den and q % 2 == 1):

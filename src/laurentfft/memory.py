@@ -23,7 +23,8 @@ followed by 16-bit input words; output files hold 32-bit words.  A word
 is 1-4 (stimulus) or 1-8 (output) hex digits in either case, with no sign,
 prefix or separator, and a reader names path:line of the first that is
 not, or of the first non-ASCII byte.  Files are read and written whole, on
-a raw file descriptor.  The writers overwrite an existing file in place
+a raw file descriptor, by the readers as by the writers, and any failure
+to read names the path.  The writers overwrite an existing file in place
 rather than truncating it to zero first (see _overwrite_text), and fsync
 nothing.
 """
@@ -46,6 +47,7 @@ _WORD16 = 0xFFFF
 _WORD32 = 0xFFFFFFFF
 _HEX_DIGITS = frozenset("0123456789abcdefABCDEF")
 _HALF_WORD = QFormat(16, 7)  # saturation bounds of a 16-bit half word
+_READ_CHUNK = 1 << 16  # bytes per os.read; a testbench file of N = 512 is ~4.6 kB
 
 
 class StimulusFormatError(ValueError):
@@ -77,9 +79,8 @@ class DeviceOutput(NamedTuple):
 
 
 def _half_word(raw: int, flags: OverflowFlag | None) -> int:
-    if not -0x8000 <= raw <= 0x7FFF:
-        raw = _saturate(raw, _HALF_WORD, flags)
-    return raw & _WORD16
+    """A raw outside the 16-bit half word, saturated, as its half word."""
+    return _saturate(raw, _HALF_WORD, flags) & _WORD16
 
 
 def pack_output(result: TransformResult, *,
@@ -89,16 +90,20 @@ def pack_output(result: TransformResult, *,
     ValueError.  The raws pass fixed._admit_each unbounded, as a result may be
     built by hand, DFT columns pair by one strict zip, and a raw beyond 16
     bits saturates, marking the flags context when one is supplied.  flags
-    is keyword-only, so pack_output(result, "dft") is a TypeError."""
+    is keyword-only, so pack_output(result, "dft") is a TypeError.  A half
+    in range is masked inline; only one that saturates calls _half_word."""
     if not isinstance(result, TransformResult) or result.real_raw is None or (
             result.imag_raw is None and result.select is TransformSelect.DFT):
         raise ValueError("packing is defined only for fixed-mode results")
     if result.select is TransformSelect.DHT:
-        return tuple([_half_word(raw, flags) for raw in _admit_each(result.real_raw, "raw")])
+        return tuple([raw & _WORD16 if -0x8000 <= raw <= 0x7FFF else _half_word(raw, flags)
+                      for raw in _admit_each(result.real_raw, "raw")])
     pairs = zip(_admit_each(result.real_raw, "real raw"),
                 _admit_each(result.imag_raw, "imaginary raw"), strict=True)
-    return tuple([(_half_word(re_raw, flags) << 16) | _half_word(im_raw, flags)
-                  for re_raw, im_raw in pairs])
+    # the real raw packs as the upper half word, the imaginary as the lower
+    return tuple([(hi & _WORD16 if -0x8000 <= hi <= 0x7FFF else _half_word(hi, flags)) << 16
+                  | (lo & _WORD16 if -0x8000 <= lo <= 0x7FFF else _half_word(lo, flags))
+                  for hi, lo in pairs])
 
 
 def unpack_output(words, select: TransformSelect):
@@ -153,11 +158,23 @@ def _read_ascii_lines(path) -> list[str]:
     CRLF's CR; StimulusFormatError names path:line of a non-ASCII byte.
 
     A line ends at LF alone, where str.splitlines would also end one at VT,
-    FF and FS to RS.  The file is read whole through an unbuffered FileIO,
-    which sizes its result from fstat and reads into it directly.
+    FF and FS to RS.  The file is read whole by os.read on the descriptor
+    os.open returns, _READ_CHUNK bytes at a time until end of file, with no
+    file object around it; the descriptor is closed whether or not a read
+    fails.  os.read names no path (a directory opens, then reads as
+    "[Errno 21] Is a directory"), so an OSError is raised again with it,
+    as os.open and open() name it.
     """
-    with open(path, "rb", buffering=0) as fh:
-        data = fh.read()
+    fd = os.open(path, os.O_RDONLY)
+    try:
+        chunks = []
+        while chunk := os.read(fd, _READ_CHUNK):
+            chunks.append(chunk)
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, os.fspath(path)) from None
+    finally:
+        os.close(fd)
+    data = b"".join(chunks)
     try:
         return [line.strip(" \t\r") for line in data.decode("ascii").split("\n")]
     except UnicodeDecodeError as exc:

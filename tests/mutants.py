@@ -1,6 +1,6 @@
-"""Mutants of the fixed executor, its scalar ops, the output packing, the op
-count, the column grouping, the DFT oracle and the CLI's refusals that the
-fast tests must kill.
+"""Mutants of the fixed executor, its scalar ops, the output packing, the
+file reader, the op count, the column grouping, the DFT oracle and the CLI's
+refusals that the fast tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -90,9 +90,17 @@ MUTANTS = [
      "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, None)",
      "a product that saturates in fx_mul leaves the flag clear"),
     (MEMORY,
-     "raw = _saturate(raw, _HALF_WORD, flags)",
-     "raw = _saturate(raw, _HALF_WORD, None)",
+     "_saturate(raw, _HALF_WORD, flags)",
+     "_saturate(raw, _HALF_WORD, None)",
      "a half that saturates when packed leaves the flag clear"),
+    (MEMORY,
+     "-0x8000 <= hi <= 0x7FFF",
+     "-0x8000 <= hi <= 0x8000",
+     "packing's inline range test admits 0x8000 as a real half"),
+    (MEMORY,
+     "while chunk := os.read(fd, _READ_CHUNK):",
+     "if chunk := os.read(fd, _READ_CHUNK):",
+     "a reader stops after its first chunk"),
     (MEMORY,
      "((w & _WORD16) ^ 0x8000) - 0x8000)",
      "(w & _WORD16))",

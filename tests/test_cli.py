@@ -270,6 +270,13 @@ class TestTransform:
         assert transform == transform_n16 == testbench == (
             1, "", f"error: [Errno 2] No such file or directory: '{missing}'\n")
 
+    def test_directory_is_one_line_alike_in_both_commands(self, capsys, tmp_path):
+        # a directory opens and only its read fails; the line still names it
+        transform = run_cli(capsys, "transform", "--input", str(tmp_path))
+        testbench = run_cli(capsys, "testbench", str(tmp_path))
+        assert transform == testbench == (
+            1, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+
     def test_sample_count_not_a_length_named_before_sample_range(self, capsys, tmp_path,
                                                                  no_plan):
         path = tmp_path / "six.csv"

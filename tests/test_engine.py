@@ -13,6 +13,7 @@ from laurentfft import (
     Fixed,
     FixedConfig,
     LaurentPlan,
+    MemoryImage,
     OpCount,
     QFormat,
     Stream,
@@ -31,6 +32,7 @@ from laurentfft import (
     quantization_report,
     quantize,
     reconstruct,
+    run_device,
 )
 
 from fixed_oracle import _oracle_fixed
@@ -107,17 +109,24 @@ class TestCountOps:
     def test_executed_adds_at_order_16(self, plan16, monkeypatch):
         # The engine runs more adds than count_ops reports (152 on a DFT, plus
         # 16 on a DHT): every row starts from zero and every stream merge
-        # takes whole N-vectors.
+        # takes whole N-vectors.  The bench's traced testbench run counts the
+        # same engine-module calls through run_device, so both paths are
+        # pinned: 16 samples and 3 ROM constants quantized, 12 products.
         calls = Counter()
-        for name in ("fx_add", "fx_sub"):
+        for name in ("fx_add", "fx_sub", "fx_mul", "quantize"):
             def counted(*args, _op=getattr(engine, name), _name=name):
                 calls[_name] += 1
                 return _op(*args)
             monkeypatch.setattr(engine, name, counted)
-        for select, expected in ((TransformSelect.DFT, 298), (TransformSelect.DHT, 314)):
-            calls.clear()
-            execute(plan16, RAMP2, select, FixedConfig())
-            assert calls["fx_add"] + calls["fx_sub"] == expected
+        image_words = [x * 128 for x in RAMP2]
+        runs = {"execute": lambda select: execute(plan16, RAMP2, select, FixedConfig()),
+                "run_device": lambda select: run_device(MemoryImage(image_words, select), plan16)}
+        for path, run in runs.items():
+            for select, adds in ((TransformSelect.DFT, 298), (TransformSelect.DHT, 314)):
+                calls.clear()
+                run(select)
+                assert (calls["quantize"], calls["fx_mul"],
+                        calls["fx_add"] + calls["fx_sub"]) == (19, 12, adds), (path, select)
 
     def test_executed_adds_follow_the_tape(self, monkeypatch):
         # Every row starts from zero, so each entry of the input and combiner
@@ -411,7 +420,13 @@ class TestExactMode:
         # on integer samples every input-stage sum is exact, so exact mode
         # must hand the merge each stream's combiner rows applied to
         # value * (reduced_rows @ v), each row summed from 0.0 in increasing
-        # column order, bit for bit: both stages against the dense factors
+        # column order, bit for bit: both stages against the dense factors.
+        # Its output must then be those products folded in plan order by
+        # _merge_streams' rule (the first into an accumulator is its
+        # contents, each later one added or subtracted by its sign), bit for
+        # bit: re and im for DFT, Re - Im for DHT.  No sum here is -0.0.  The
+        # output check holds whatever computes the merge; the hand-off check
+        # after it reads _merge_streams' arguments.
         handed = []
 
         def merge(plan, outputs, add, sub):
@@ -424,8 +439,8 @@ class TestExactMode:
         rng = np.random.default_rng(44)
         for n, plan in exact_plans.items():
             v = rng.integers(-1000, 1001, size=n).astype(float)
-            execute(plan, v, TransformSelect.DFT, "exact")
-            for s, y in zip(plan.streams, handed, strict=True):
+            acc, wants = {}, []
+            for s in plan.streams:
                 x = s.factor.reduced_rows @ v
                 if s.value is not None:
                     x = s.value * x
@@ -433,7 +448,19 @@ class TestExactMode:
                 # a zero term adds +-0.0, which leaves a sum begun at 0.0 unchanged
                 for j, column in enumerate(s.factor.combiner.T):
                     want = want + column * x[j]
-                assert y.tobytes() == want.tobytes(), (n, s.label, s.dest)
+                wants.append(want)
+                a = acc.get(s.dest)
+                acc[s.dest] = want if a is None else a + want if s.sign > 0 else a - want
+            re, im = acc["re"], acc["im"]
+            for select in TransformSelect:
+                values = execute(plan, v, select, "exact").values
+                if select is TransformSelect.DFT:
+                    assert values.real.tobytes() == re.tobytes(), n
+                    assert values.imag.tobytes() == im.tobytes(), n
+                else:
+                    assert values.tobytes() == (re - im).tobytes(), n
+                for s, y, want in zip(plan.streams, handed, wants, strict=True):
+                    assert y.tobytes() == want.tobytes(), (n, s.label, s.dest, select)
 
     @pytest.mark.parametrize("select", ["dft", "dht"])
     def test_float64_overflow_raises_without_warnings(self, plan16, select):

@@ -183,10 +183,17 @@ class TestPacking:
         assert any(flagged) and not all(flagged)
 
     def test_oversized_raw_saturates_and_flags(self):
-        flags = OverflowFlag()
-        words = pack_output(_fixed_result("dft", (40000,), (-40000,)), flags=flags)
-        assert words == ((32767 << 16) | (-32768 & 0xFFFF),)
-        assert flags.overflow
+        # -0x8000 and 0x7FFF pack as they are with the flag clear; 0x8000 and
+        # -0x8001, one past them, saturate to them and set it, in every half
+        cases = [(("dft", (40000,), (-40000,)), (0x7FFF8000,), True),
+                 (("dht", (-0x8000, 0x7FFF)), (0x8000, 0x7FFF), False),
+                 (("dht", (0x8000, -0x8001)), (0x7FFF, 0x8000), True),
+                 (("dft", (-0x8000, 0x7FFF), (0x7FFF, -0x8000)), (0x80007FFF, 0x7FFF8000), False),
+                 (("dft", (0x8000, -0x8001), (-0x8001, 0x8000)), (0x7FFF8000, 0x80007FFF), True)]
+        for args, words, flagged in cases:
+            flags = OverflowFlag()
+            assert (pack_output(_fixed_result(*args), flags=flags), flags.overflow) == (
+                words, flagged), args
 
 
 class TestRunDevice:
@@ -405,6 +412,24 @@ class TestStimulusFiles:
         path = tmp_path / "words.hex"
         path.write_text("fc0009b0\nFC0009B0\n7\n\n ffffffff \n")
         assert read_output_words(path) == (0xFC0009B0, 0xFC0009B0, 7, 0xFFFFFFFF)
+
+    def test_word_file_longer_than_a_read_reads_whole(self, tmp_path):
+        # 20000 words are 180 kB of text, more than one os.read takes
+        path = tmp_path / "long.hex"
+        words = tuple(range(0, 20000 * 214747, 214747))
+        write_output_words(words, path)
+        assert path.stat().st_size == 9 * 20000
+        assert read_output_words(path) == words
+
+    @pytest.mark.parametrize("read", [load_stimulus, read_output_words])
+    def test_directory_is_named_and_its_fd_closed(self, tmp_path, read):
+        # a directory opens and then fails to read; the error names it, as
+        # it names a missing file, and the descriptor is closed
+        fds = sorted(os.listdir("/proc/self/fd")) if os.path.isdir("/proc/self/fd") else None
+        with pytest.raises(IsADirectoryError) as info:
+            read(tmp_path)
+        assert str(info.value) == f"[Errno 21] Is a directory: '{tmp_path}'"
+        assert fds is None or sorted(os.listdir("/proc/self/fd")) == fds
 
 
 class TestImageValidation:
