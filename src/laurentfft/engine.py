@@ -4,8 +4,9 @@ Both modes run the device's stages in order (see plan.StageTape): input
 adds, the scalar multipliers, combiner adds, the stream merge
 (plan._merge_streams, the one merge rule) and, for a Hartley select, Re - Im.
 A select bit chooses Fourier output (Re, Im) or Hartley output (Re - Im).
-Fixed mode runs every stage from the plan's tape in saturating Q-format
-integer arithmetic: 16-bit inputs and constants, 32-bit accumulators.
+Fixed mode runs every stage from the plan's tape, the merge as one flat
+loop over LaurentPlan.merge_steps, in saturating Q-format integer
+arithmetic: 16-bit inputs and constants, 32-bit accumulators.
 Exact mode runs the same tape in doubles: one np.bincount per table, with
 the multipliers between.  The structural operation count, count_ops, is
 defined with the plan and re-exported here.
@@ -111,15 +112,15 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
     # the walk carries plain (raw, fmt) pairs; the one acc_fmt object keeps
     # fx_add's format check on its identity test
     acc_fmt = cfg.acc_fmt
-    x = [(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v]
+    x = [(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v.tolist()]
     # Constants are quantized once per run, like a hardware coefficient ROM.
     rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]
     zero = (0, acc_fmt)
+    # Bound per call, not at import, so a wrapper on engine.fx_add or
+    # engine.fx_sub sees every op.
+    add, sub = fx_add, fx_sub
 
     def sum_rows(table, vals):
-        # Bound per call, not at import, so a wrapper on engine.fx_add or
-        # engine.fx_sub sees every op.
-        add, sub = fx_add, fx_sub
         out = [zero] * table.nrows
         for r, c, s in table.terms:
             out[r] = add(out[r], vals[c], flags) if s > 0 else sub(out[r], vals[c], flags)
@@ -129,15 +130,16 @@ def _execute_fixed(plan: LaurentPlan, v: np.ndarray, select: TransformSelect,
     u = [a if k < 0 else fx_mul(a, rom[k], cfg.rounding, flags)
          for a, k in zip(u, tape.slots)]
     y = sum_rows(tape.combiners, u)
-    n = plan.order
-    re, im = _merge_streams(plan, (y[i:i + n] for i in range(0, len(y), n)),
-                            lambda a, b: [fx_add(p, q, flags) for p, q in zip(a, b)],
-                            lambda a, b: [fx_sub(p, q, flags) for p, q in zip(a, b)])
+    # the stream merge, in place on the combiner rows: see LaurentPlan.merge_steps
+    steps, re_rows, im_rows = plan.merge_steps
+    for a, b, plus in steps:
+        y[a] = add(y[a], y[b], flags) if plus else sub(y[a], y[b], flags)
+    re, im, n = y[re_rows], y[im_rows], plan.order
 
     # values are the raws over the scale, exactly as each Fixed.value would be
     scale = acc_fmt.scale
     if select is TransformSelect.DHT:
-        h_raw, _ = zip(*[fx_sub(a, b, flags) for a, b in zip(re, im)])
+        h_raw, _ = zip(*[sub(a, b, flags) for a, b in zip(re, im)])
         return TransformResult(select, np.array(h_raw) / scale, h_raw, None, flags.overflow)
     (re_raw, _), (im_raw, _) = zip(*re), zip(*im)
     values = np.empty(n, complex)

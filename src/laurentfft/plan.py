@@ -26,7 +26,8 @@ matrix with its scalar (None for the two M_0 matrices, which need no
 multiplication), the output accumulator it feeds (re or im) and a sign.
 LaurentPlan.tape stacks the streams' tables once, on first use, into the
 device's stages; both executors and count_ops read it.  The merge rule
-lives in _merge_streams alone, over the streams.
+lives in _merge_streams alone, over the streams; LaurentPlan.merge_steps
+runs it once over row indices for the fixed executor's flat merge loop.
 
 A plan is a pure function of N, so build_plan does not check its own
 result.  check_plan in tests/test_plan.py holds a plan to the direct DFT
@@ -282,11 +283,12 @@ class StageTape(NamedTuple):
        stacked intermediates, is row j of stream k's combiner.
     4. Stream merge, by _merge_streams in plan order; 5. DHT Re - Im.
 
-    The fixed executor runs stages 1-3 from terms and slots; exact mode runs
-    them as one bincount per table, times scale between; count_ops counts
-    each table's entries per row and the slots that name a constant.  A row
-    takes its terms in increasing column order, which, like the stream
-    order, decides where a narrow accumulator saturates.
+    The fixed executor runs stages 1-3 from terms and slots and stage 4 from
+    LaurentPlan.merge_steps; exact mode runs stages 1-3 as one bincount per
+    table, times scale between; count_ops counts each table's entries per
+    row and the slots that name a constant.  A row takes its terms in
+    increasing column order, which, like the stream order, decides where a
+    narrow accumulator saturates.
     """
 
     inputs: RowTable
@@ -330,6 +332,25 @@ class LaurentPlan:
         return StageTape(_stack([f.reduced_table for f in factors], [0] * len(factors)),
                          constants, tuple(slots.tolist()), scale,
                          _stack([f.combiner_table for f in factors], np.cumsum([0] + ranks)))
+
+    @functools.cached_property
+    def merge_steps(self) -> tuple[tuple[tuple[int, int, bool], ...], slice, slice]:
+        """_merge_streams run once, on first use, over the combiner rows' indices
+        (stream k's row j is row k * order + j, as in the tape): (steps, re, im).
+        Step (a, b, add) merges row b into row a, by add if add is true and by
+        subtract if not, in the order the merge makes its calls; re and im are
+        the slices of rows that then hold the two accumulators."""
+        steps, n = [], self.order
+
+        def merge(add):
+            def step(acc, rows):
+                steps.extend((a, b, add) for a, b in zip(acc, rows))
+                return acc
+            return step
+
+        re, im = _merge_streams(self, (range(k * n, k * n + n) for k in range(len(self.streams))),
+                                merge(True), merge(False))
+        return tuple(steps), slice(re.start, re.stop), slice(im.start, im.stop)
 
 
 def build_plan(n: int) -> LaurentPlan:

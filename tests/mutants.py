@@ -32,8 +32,8 @@ PLAN, REFERENCE = "src/laurentfft/plan.py", "src/laurentfft/reference.py"
 
 MUTANTS = [
     (ENGINE,
-     "x = [(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v]",
-     "x = [(quantize(s, cfg.fmt, cfg.rounding, None).raw, acc_fmt) for s in v]",
+     "x = [(quantize(s, cfg.fmt, cfg.rounding, flags).raw, acc_fmt) for s in v.tolist()]",
+     "x = [(quantize(s, cfg.fmt, cfg.rounding, None).raw, acc_fmt) for s in v.tolist()]",
      "a sample that saturates in quantize leaves the flag clear"),
     (ENGINE,
      "rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]",
@@ -52,10 +52,10 @@ MUTANTS = [
      "    raw -= b_raw\n    if a.__class__ is not Fixed:\n        return raw, fmt\n",
      "fx_sub on a plain pair neither saturates nor flags"),
     (FIXED,
-     "    raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)\n",
+     "    raw = _div_round(raw * b_raw, fmt.scale, rounding)\n",
+     "    raw = _div_round(raw * b_raw, fmt.scale, rounding)\n"
      "    if a.__class__ is not Fixed:\n"
-     "        return _div_round(raw * b_raw, fmt.scale, rounding), fmt\n"
-     "    raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)\n",
+     "        return raw, fmt\n",
      "fx_mul on a plain pair neither saturates nor flags"),
     (FIXED,
      "q = (abs(num) * 2 + den) // (den * 2)",
@@ -66,28 +66,50 @@ MUTANTS = [
      "(2 * r == den and q % 2 == 0)",
      "half-even rounds ties to odd"),
     (FIXED,
-     "if raw > fmt.max_raw:",
-     "if raw >= fmt.max_raw:",
-     "a result of exactly max_raw sets the flag"),
+     "    if not fmt.min_raw <= raw <= fmt.max_raw:\n        raw = _saturate(raw, fmt, flags)\n"
+     "    return _tuple_new(Fixed, (raw, fmt))\n",
+     "    if not fmt.min_raw <= raw < fmt.max_raw:\n        raw = _saturate(raw, fmt, flags)\n"
+     "    return _tuple_new(Fixed, (raw, fmt))\n",
+     "a quantize result of exactly max_raw sets the flag"),
     (FIXED,
-     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)",
-     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, ROUND_HALF_AWAY), fmt, flags)",
+     "raw = _div_round(raw * b_raw, fmt.scale, rounding)",
+     "raw = _div_round(raw * b_raw, fmt.scale, ROUND_HALF_AWAY)",
      "fx_mul ignores its rounding argument"),
     (FIXED,
      "raw = _div_round(num * fmt.scale, den, rounding)",
      "raw = _div_round(num * fmt.scale, den, ROUND_HALF_AWAY)",
-     "quantize ignores its rounding argument"),
+     "quantize's exact-ratio path ignores its rounding argument"),
+    (FIXED,
+     "if r >= 0.5:",
+     "if r > 0.5:",
+     "quantize's float path rounds half-away ties toward zero"),
+    (FIXED,
+     "r == 0.5 and q & 1",
+     "r == 0.5 and not q & 1",
+     "quantize's float path rounds half-even ties to odd"),
+    (FIXED,
+     "        raw = -q if y < 0 else q\n",
+     "        raw = -q if y < 0 else q\n        flags = None\n",
+     "a float that saturates in quantize leaves the flag clear"),
     (ENGINE,
      "rom = [quantize(c, cfg.fmt, cfg.rounding, flags) for c in tape.constants]",
      "rom = [quantize(c, cfg.fmt, ROUND_HALF_AWAY, flags) for c in tape.constants]",
      "the ROM is always quantized half-away"),
     (ENGINE,
-     "(y[i:i + n] for i in range(0, len(y), n))",
-     "(y[i:i + n] if i != n else [(-r, f) for r, f in y[i:i + n]] for i in range(0, len(y), n))",
+     "    steps, re_rows, im_rows = plan.merge_steps\n",
+     "    steps, re_rows, im_rows = plan.merge_steps\n"
+     "    y[im_rows] = [(-r, f) for r, f in y[im_rows]]\n",
      "the fixed merge negates stream 1, M_0's imaginary part, the first into im"),
+    (PLAN,
+     "        return tuple(steps), slice(re.start, re.stop), slice(im.start, im.stop)",
+     "        steps = [s for s in steps if s[0] < n] + [s for s in steps if s[0] >= n][::-1]\n"
+     "        return tuple(steps), slice(re.start, re.stop), slice(im.start, im.stop)",
+     "the merge steps take the im accumulator's streams in reverse plan order"),
     (FIXED,
-     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, flags)",
-     "raw = _saturate(_div_round(raw * b_raw, fmt.scale, rounding), fmt, None)",
+     "fmt.scale, rounding)\n    if not fmt.min_raw <= raw <= fmt.max_raw:\n"
+     "        raw = _saturate(raw, fmt, flags)",
+     "fmt.scale, rounding)\n    if not fmt.min_raw <= raw <= fmt.max_raw:\n"
+     "        raw = _saturate(raw, fmt, None)",
      "a product that saturates in fx_mul leaves the flag clear"),
     (MEMORY,
      "_saturate(raw, _HALF_WORD, flags)",

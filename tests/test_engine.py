@@ -1,6 +1,7 @@
 """Engine behavior: agreement with the direct oracle, bit-exact device
 arithmetic on the golden 16-point vector, and structural op counts."""
 
+import hashlib
 import re
 import warnings
 from collections import Counter
@@ -170,6 +171,30 @@ class TestCountOps:
                          FixedConfig(acc_total_bits=18))
         assert dict(calls) == expected
         assert result.overflow
+
+    # sha256 of the calls recorded at the commit before the walk's merge became
+    # one flat loop and quantize gained its float path
+    @pytest.mark.parametrize("n, select, calls, digest", [
+        (16, "dft", 329, "08fc2459498415555bfcb4bc2d04e3ff70bd12bd1e222674b6ec9b0ce8d2a16e"),
+        (16, "dht", 345, "990c5d2723be97f4d121f3e946d9a05baa945b70ae8f9f22dd298a7530f2c6ec"),
+        (64, "dft", 5081, "feeae4b6f71b55a56bef57553f945fe6a7f74ca1102219563cb1ec0d8434a32a"),
+        (64, "dht", 5145, "22a149a5fad0b9ca0ed447416631981ed160cc0f7f53878438507acd48f37acf")])
+    def test_call_sequence_pinned(self, monkeypatch, n, select, calls, digest):
+        # Every engine.fx_add, fx_sub, fx_mul and quantize call of a saturating
+        # run, as (name, operand raws) -- the value quantized, for quantize --
+        # in the order made.  A faster walk must make the same calls.
+        seen = []
+        for name in ("fx_add", "fx_sub", "fx_mul", "quantize"):
+            def recorded(*args, _op=getattr(engine, name), _name=name, **kwargs):
+                a, b = args[:2]
+                seen.append((_name, float(a)) if _name == "quantize" else (_name, a[0], b[0]))
+                return _op(*args, **kwargs)
+            monkeypatch.setattr(engine, name, recorded)
+        out = execute(build_plan(n), np.linspace(-250, 250, n), select,
+                      FixedConfig(acc_total_bits=18))
+        assert out.overflow
+        assert len(seen) == calls
+        assert hashlib.sha256(repr(seen).encode()).hexdigest() == digest
 
     def test_order_4_is_multiplication_free(self):
         assert count_ops(build_plan(4)).multiplications == 0

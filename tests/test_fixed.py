@@ -4,11 +4,14 @@ import dataclasses
 import math
 import re
 import sys
+import warnings
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from laurentfft import (
     Fixed,
@@ -28,6 +31,7 @@ from fixed_oracle import _check, _round_model
 
 Q16_7 = QFormat(16, 7)
 Q32_7 = QFormat(32, 7)
+ROUNDINGS = [ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE]
 
 
 class TestQFormat:
@@ -118,23 +122,65 @@ class TestQuantize:
             quantize(x, Q16_7)
 
     def test_unknown_rounding_mode_rejected(self):
-        with pytest.raises(ValueError, match="unknown rounding mode 'bogus'"):
-            quantize(0.3, Q16_7, rounding="bogus")
+        # a float and a Fraction take quantize's two paths, and fx_mul rounds
+        # by _div_round as the Fraction does: each names the mode
+        for op in (lambda: quantize(0.3, Q16_7, rounding="bogus"),
+                   lambda: quantize(Fraction(3, 10), Q16_7, rounding="bogus"),
+                   lambda: fx_mul(Fixed(3, Q16_7), Fixed(5, Q16_7), "bogus")):
+            with pytest.raises(ValueError, match="^unknown rounding mode 'bogus'$"):
+                op()
 
-    # The extremes of the double range and exact half-ulp ties, on every
-    # rounding: the inputs whose ratio num / den shares the most factors of
-    # two with the scale.  The property test draws such classes, not on every run.
-    @pytest.mark.parametrize("rounding", [ROUND_HALF_AWAY, ROUND_HALF_EVEN, ROUND_TRUNCATE])
-    @pytest.mark.parametrize("fmt", [QFormat(16, 1), Q16_7, QFormat(16, 15), QFormat(32, 31)],
-                             ids=str)
+    # The extremes of the double range, exact half-ulp ties and their
+    # neighbours, on every rounding: the inputs whose ratio num / den shares
+    # the most factors of two with the scale, and where a tie decides the
+    # saturation.  A float and an np.float64 take quantize's float path, a
+    # Fraction its exact-ratio path.  The property tests draw such classes,
+    # not on every run.
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    @pytest.mark.parametrize("fmt", [QFormat(2, 1), QFormat(16, 1), Q16_7, QFormat(16, 15),
+                                     QFormat(32, 31)], ids=str)
     def test_edge_cases_against_fraction_model(self, fmt, rounding):
-        ties = [(k + 0.5) / fmt.scale for k in (0, 1, 2, 3, fmt.max_raw)]
+        ties = [(k + 0.5) / fmt.scale for k in (0, 1, 2, 3, fmt.max_raw - 1, fmt.max_raw)]
         assert all(Fraction(t) * fmt.scale % 1 == Fraction(1, 2) for t in ties)
-        for x in [5e-324, sys.float_info.min, 1e300] + ties:
+        grid = [k / fmt.scale for k in (1, fmt.max_raw, fmt.max_raw + 1)]
+        near = [math.nextafter(t, d) for t in ties + grid for d in (-math.inf, math.inf)]
+        # signed zeros, subnormals, doubles whose last bit is a half or a
+        # unit, and the ends of the float path
+        extremes = [0.0, 5e-324, sys.float_info.min, 2.0 ** 51 + 0.5, 2.0 ** 52 - 0.5,
+                    2.0 ** 52 + 0.5, 2.0 ** 53, math.nextafter(2.0 ** 64, 0), 2.0 ** 64, 1e300]
+        for x in ties + grid + near + extremes:
             for v in (x, -x):
-                flags = OverflowFlag()
-                _check(quantize(v, fmt, rounding, flags), flags, fmt,
-                       _round_model(Fraction(v) * fmt.scale, rounding))
+                want = _round_model(Fraction(v) * fmt.scale, rounding)
+                for make in (float, np.float64, Fraction):
+                    flags = OverflowFlag()
+                    _check(quantize(make(v), fmt, rounding, flags), flags, fmt, want)
+
+    @given(st.sampled_from([Q16_7, QFormat(16, 15), QFormat(32, 31), QFormat(2, 1)]),
+           st.sampled_from(ROUNDINGS), st.data())
+    def test_float_path_equals_ratio_path(self, fmt, rounding, data):
+        # any double, doubles about the word's range, its ties and quarter
+        # points, as a float and an np.float64, against Fraction(x)
+        top = 2.0 * fmt.max_raw / fmt.scale
+        k = st.integers(-(1 << 40), 1 << 40)
+        x = data.draw(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                                st.floats(-top, top), k.map(lambda k: (k + 0.5) / fmt.scale),
+                                k.map(lambda k: k / (4 * fmt.scale))))
+        want_flags = OverflowFlag()
+        want = quantize(Fraction(x), fmt, rounding, want_flags)
+        for make in (float, np.float64):
+            flags = OverflowFlag()
+            got = quantize(make(x), fmt, rounding, flags)
+            assert type(got) is Fixed and type(got.raw) is int
+            assert (got.raw, got.fmt, flags.overflow) == (want.raw, fmt, want_flags.overflow)
+
+    @pytest.mark.parametrize("x", [1e308, -1e308])
+    def test_largest_np_float64_saturates_without_warning(self, x):
+        flags = OverflowFlag()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            q = quantize(np.float64(x), Q16_7, ROUND_HALF_EVEN, flags)
+        assert type(q.raw) is int and q.raw == (Q16_7.max_raw if x > 0 else Q16_7.min_raw)
+        assert flags.overflow
 
     def test_round_trip_half_ulp(self):
         rng = np.random.default_rng(31)
