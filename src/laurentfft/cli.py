@@ -15,6 +15,8 @@ other failure exits 1 with one "error: ..." line.
 from __future__ import annotations
 
 import argparse
+import atexit
+import gc
 import sys
 
 import numpy as np
@@ -167,5 +169,12 @@ def main(argv=None) -> int:
         return 1
 
 
-if __name__ == "__main__":
+def _entry():
+    """`python -m` and the console script: freezing the heap at exit spares the
+    interpreter's shutdown collection the objects the imports made."""
+    atexit.register(gc.freeze)
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    _entry()

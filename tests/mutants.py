@@ -1,6 +1,6 @@
 """Mutants of the fixed executor, its scalar ops, the output packing, the
-file reader, the op count, the column grouping, the DFT oracle and the CLI's
-refusals that the fast tests must kill.
+file reader, the op count, the column grouping, the DFT oracle, the CLI's
+refusals and its exit hook that the fast tests must kill.
 
 Each entry of MUTANTS is (file, old text, new text, reason).  Run from the
 repository root:
@@ -9,10 +9,10 @@ repository root:
 
 For each mutant the script copies src/ and tests/ to a temporary directory,
 checks that the old text occurs exactly once in the file, replaces it and runs
-`pytest -x -q` on TESTS (the op, memory, reference, CLI, exhaustive, plan and
-engine tests) in the copy, fastest file first but for the mutated file's own
-test file, tests/test_<its stem>.py, which runs first.  Under -x a survivor
-still runs every file.  The unmutated copy must pass first.
+`pytest -x -q` on TESTS (the op, memory, reference, CLI, CLI process,
+exhaustive, plan and engine tests) in the copy, fastest file first but for the
+mutated file's own test file, tests/test_<its stem>.py, which runs first.
+Under -x a survivor still runs every file.  The unmutated copy must pass first.
 The exit status is nonzero if it does not, if an old text does not occur
 exactly once, or if a mutant survives (its tests pass).  Only the standard
 library is used.
@@ -139,6 +139,10 @@ MUTANTS = [
      "for i, x in enumerate(samples):",
      "for i, x in enumerate(samples[:-1]):",
      "transform leaves the last sample out of its range check"),
+    (CLI,
+     "    atexit.register(gc.freeze)\n",
+     "",
+     "the process entry leaves the heap unfrozen at exit"),
     (REFERENCE,
      "np.exp(-2j * np.pi * (np.outer(idx, idx) % n) / n)",
      "np.exp(-2j * np.pi * np.outer(idx, idx) / n)",
@@ -146,8 +150,8 @@ MUTANTS = [
 ]
 
 TESTS = ["tests/test_fixed.py", "tests/test_memory.py", "tests/test_reference.py",
-         "tests/test_cli.py", "tests/test_exhaustive.py", "tests/test_plan.py",
-         "tests/test_engine.py"]
+         "tests/test_cli.py", "tests/test_cli_process.py", "tests/test_exhaustive.py",
+         "tests/test_plan.py", "tests/test_engine.py"]
 
 
 def _tests_pass(tree: Path, tests) -> bool:

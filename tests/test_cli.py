@@ -1,6 +1,8 @@
 """Command-line behavior, exercised through main() for real exit codes."""
 
+import atexit
 import dataclasses
+import gc
 import os
 import runpy
 import sys
@@ -489,11 +491,14 @@ class TestFixedOptions:
 
 
 def test_run_as_module_exits_with_mains_status(capsys, monkeypatch):
+    registered = []  # the entry's exit hook, kept out of this process's own exit
+    monkeypatch.setattr(atexit, "register", registered.append)
     monkeypatch.setattr(sys, "argv", ["laurentfft", "plan", "--n", "10"])
     # runpy warns when the module it runs as __main__ is already imported
     monkeypatch.delitem(sys.modules, "laurentfft.cli")
     with pytest.raises(SystemExit) as exit_:
         runpy.run_module("laurentfft.cli", run_name="__main__")
     assert exit_.value.code == 1
+    assert registered == [gc.freeze]
     assert capsys.readouterr() == (
         "", "error: block length must satisfy N ≡ 0 (mod 4) and N >= 4, got N=10\n")
